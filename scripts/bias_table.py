@@ -10,7 +10,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from xorgame import chsh_game, classical_bias, quantum_bias
+from xorgame import TooLarge, chsh_game, classical_bias, quantum_bias
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,6 @@ class TableConfig:
     n_min: int = 2
     n_max: int = 5
     tol: float = 1e-8
-    classical_cap: int = 4  # brute force is 2^(n + n(n-1)); keep it small
 
 
 def parse_args(argv) -> TableConfig:
@@ -26,9 +25,8 @@ def parse_args(argv) -> TableConfig:
     p.add_argument("--n-min", type=int, default=TableConfig.n_min)
     p.add_argument("--n-max", type=int, default=TableConfig.n_max)
     p.add_argument("--tol", type=float, default=TableConfig.tol)
-    p.add_argument("--classical-cap", type=int, default=TableConfig.classical_cap)
     a = p.parse_args(argv)
-    return TableConfig(a.n_min, a.n_max, a.tol, a.classical_cap)
+    return TableConfig(a.n_min, a.n_max, a.tol)
 
 
 def main(argv=None) -> int:
@@ -41,9 +39,9 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         q = quantum_bias(g, cfg.tol)
         elapsed = time.perf_counter() - t0
-        if n <= cfg.classical_cap:
+        try:
             c = f"{classical_bias(g):10.6f}"
-        else:
+        except TooLarge:
             c = f"{'(skipped)':>10}"
         print(f"{n:>3}  {g.n_alice + g.n_bob:>9}  {c}  {q:12.9f}  {elapsed:8.2f}")
     return 0

@@ -10,11 +10,10 @@ Example:
 """
 
 import argparse
+import contextlib
 import csv
 import sys
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from xorgame import canonical_chshn, chsh_game, intertwiner_report, perturb
 
@@ -76,12 +75,12 @@ def run(cfg: SweepConfig):
 def main(argv=None) -> int:
     cfg = parse_args(argv)
     rows, worst = run(cfg)
-    writer = csv.writer(
-        open(cfg.out, "w", newline="") if cfg.out else sys.stdout, lineterminator="\n"
-    )
-    writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow([f"{x:.12g}" for x in row])
+    out = open(cfg.out, "w", newline="") if cfg.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(COLUMNS)
+        for row in rows:
+            writer.writerow([f"{x:.12g}" for x in row])
     for n in sorted(worst):
         sys.stderr.write(
             f"n={n}: worst residual/bound ratio {worst[n]:.4f} "

@@ -360,7 +360,7 @@ def _parse_list(text: str, conv, flag: str):
 
 def _sweep_cell(cell):
     g, base, n, theta, seed = cell
-    s = perturb(base, theta, seed) if theta > 0 else base
+    s = perturb(base, theta, seed)
     rep = intertwiner_report(g, s, n)
     row = (
         n,

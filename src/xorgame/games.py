@@ -126,11 +126,17 @@ def symmetrize(g: XorGame) -> np.ndarray:
 
 
 def classical_bias(g: XorGame) -> float:
-    """Best deterministic bias max_{a,b ∈ {±1}} Σ G_st a_s b_t by enumeration."""
-    if g.n_alice + g.n_bob > 24:
-        raise TooLarge(f"{g.n_alice}+{g.n_bob} questions exceed the enumeration guard of 24")
+    """Best deterministic bias max_{a,b ∈ {±1}} Σ G_st a_s b_t by enumeration.
+
+    Only the player with fewer questions is enumerated; the other player's
+    best reply to each sign vector is exact, so 2^min(n_alice, n_bob) vectors
+    suffice.
+    """
+    m = g.matrix if g.n_alice <= g.n_bob else g.matrix.T
+    if m.shape[0] > 24:
+        raise TooLarge(f"{m.shape[0]} questions on the smaller side exceed the enumeration guard of 24")
     best = -np.inf
-    for bits in itertools.product((-1.0, 1.0), repeat=g.n_alice):
-        row = np.asarray(bits) @ g.matrix
+    for bits in itertools.product((-1.0, 1.0), repeat=m.shape[0]):
+        row = np.asarray(bits) @ m
         best = max(best, float(np.abs(row).sum()))
     return best

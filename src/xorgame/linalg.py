@@ -1,14 +1,12 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (games, SDP, strategies, structure checks) runs on the
-primitives in this module: Kronecker products, a self-contained Hermitian
-eigensolver, the vector/matrix reshaping bijection, Schmidt decompositions and
-operator sign normalization.  The eigensolver is a cyclic complex Jacobi
-iteration implemented here rather than delegated to LAPACK.  This does not
-make solver results independent of the host's BLAS build: every iteration of
-``sdp.solve`` also runs BLAS matrix products and LAPACK ``np.linalg.solve``, so
-the last digits of its values vary between BLAS builds and CPU kernels, within
-the certified duality gap.
+primitives in this module: Kronecker products, the Hermitian eigensolver, the
+vector/matrix reshaping bijection, Schmidt decompositions and operator sign
+normalization.  The eigensolver is LAPACK ``eigh`` behind an entrywise
+Hermiticity check, so the last digits of its results, like those of every
+BLAS product in ``sdp.solve``, vary between BLAS builds and CPU kernels; the
+solver's values agree across hosts within the certified duality gap.
 """
 from __future__ import annotations
 
@@ -65,60 +63,18 @@ def require_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
     return (m + m.conj().T) / 2
 
 
-def _jacobi_sweeps(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic complex Jacobi iteration; returns (diagonal, accumulated unitary)."""
-    n = a.shape[0]
-    A = a.copy()
-    V = np.eye(n, dtype=complex)
-    scale = frobenius(A)
-    if scale == 0.0 or n == 1:
-        return np.real(np.diag(A)).astype(float), V
-    stop = 1e-14 * scale
-    diag_mask = ~np.eye(n, dtype=bool)
-    for _ in range(60):
-        off = np.sqrt((np.abs(A[diag_mask]) ** 2).sum())
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                r = abs(apq)
-                if r <= 1e-18 * scale:
-                    continue
-                phase = apq / r
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * r)
-                if tau >= 0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                colp = c * A[:, p] - s * np.conj(phase) * A[:, q]
-                colq = s * phase * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = colp, colq
-                rowp = c * A[p, :] - s * phase * A[q, :]
-                rowq = s * np.conj(phase) * A[p, :] + c * A[q, :]
-                A[p, :], A[q, :] = rowp, rowq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                vcolp = c * V[:, p] - s * np.conj(phase) * V[:, q]
-                vcolq = s * phase * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = vcolp, vcolq
-    return np.real(np.diag(A)).astype(float), V
-
-
 def hermitian_eig(h, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
 
     Returns eigenvalues ascending and a unitary matrix of eigenvectors
-    (columns), so that h @ V == V @ diag(w).
+    (columns), so that h @ V == V @ diag(w).  A real symmetric input is
+    decomposed in real arithmetic, so V is then real orthogonal.
     """
     m = require_hermitian(h, tol)
-    w, v = _jacobi_sweeps(m)
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    if not np.iscomplexobj(h):
+        m = m.real
+    w, v = np.linalg.eigh(m)
+    return w, v
 
 
 def vec_to_matrix(w, d_A: int, d_B: int) -> np.ndarray:

@@ -11,7 +11,7 @@ provided alongside numerical extraction from an arbitrary dual point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -336,6 +336,13 @@ class TestSweepCommand:
         code, _, err = run(capsys, "sweep", "--thetas", "a,b")
         assert code == 1
 
+    def test_negative_theta_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "sweep.csv"
+        code, _, err = run(capsys, "sweep", "--n-values", "2", "--thetas=-0.1", "--out", str(out))
+        assert code == 1
+        assert "theta" in err
+        assert not out.exists()
+
 
 class TestReportDeterminism:
     def test_same_argv_same_outputs(self, capsys, tmp_path):

@@ -111,9 +111,26 @@ class TestClassicalBias:
         assert classical_bias(new_game(np.array([[1.0]]))) == pytest.approx(1.0)
 
     def test_guard_against_huge_enumeration(self):
-        g = new_game(np.full((20, 20), 1.0 / 400.0))
+        # the guard is on the smaller side: 25 questions each way exceed it
+        g = new_game(np.full((25, 25), 1.0 / 625.0))
         with pytest.raises(TooLarge):
             classical_bias(g)
+
+    def test_enumerates_the_smaller_side(self):
+        # 2 x 30 and 30 x 2 need 4 sign vectors, not 2^30
+        g = new_game(np.full((2, 30), 1.0 / 60.0))
+        gt = new_game(g.matrix.T)
+        assert classical_bias(g) == pytest.approx(1.0, abs=1e-15)
+        assert classical_bias(gt) == pytest.approx(1.0, abs=1e-15)
+
+    def test_chsh5_is_enumerated(self):
+        g, _ = chsh_game(5)
+        assert classical_bias(g) == pytest.approx(0.5, abs=1e-15)
+
+    def test_transpose_invariant(self, rng):
+        g = new_game(rng.standard_normal((5, 3)), normalize=True)
+        gt = new_game(g.matrix.T)
+        assert classical_bias(g) == pytest.approx(classical_bias(gt), abs=1e-14)
 
     def test_upper_bounds_any_sign_assignment(self, rng):
         g = new_game(rng.standard_normal((3, 4)), normalize=True)

@@ -52,6 +52,15 @@ class TestHermitianEig:
         assert np.abs(u.conj().T @ u - np.eye(4)).max() < 1e-12
         assert np.allclose(np.sort(w), [-2.0, 1.0, 1.0, 1.0], atol=1e-12)
 
+    def test_real_input_gives_real_orthogonal_vectors(self):
+        # real symmetric input is decomposed in real arithmetic: no phases to drop
+        a = np.random.default_rng(3).standard_normal((6, 6))
+        h = (a + a.T) / 2
+        w, v = hermitian_eig(h)
+        assert not np.iscomplexobj(v)
+        assert np.abs(v.T @ v - np.eye(6)).max() < 1e-12
+        assert np.abs((v * w) @ v.T - h).max() < 1e-12
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)

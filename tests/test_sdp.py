@@ -121,3 +121,87 @@ class TestVerifyDualFeasible:
         g, _ = chsh_game(2)
         with pytest.raises(DimensionMismatch):
             verify_dual_feasible(np.zeros(3), symmetrize(g))
+
+
+def _assert_converged(g_sym, sol, tol):
+    """Converged with every invariant, to the scaled stop rule gap <= tol·min(1, ‖G‖_∞)."""
+    assert sol.converged
+    _solution_invariants(g_sym, sol, tol)
+    assert sol.gap <= tol * min(1.0, np.abs(g_sym).sum(axis=1).max())
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_chshn_at_every_scale(self, n, scale):
+        g, _ = chsh_game(n)
+        g_sym = scale * symmetrize(g)
+        sol = solve(g_sym, 1e-8)
+        _assert_converged(g_sym, sol, 1e-8)
+        assert sol.primal_value / scale == pytest.approx(RT2_INV, abs=1e-8)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_chshn_up_to_ten(self, n):
+        g, _ = chsh_game(n)
+        g_sym = symmetrize(g)
+        sol = solve(g_sym, 1e-8)
+        _assert_converged(g_sym, sol, 1e-8)
+        assert sol.primal_value == pytest.approx(RT2_INV, abs=1e-8)
+        assert sol.iterations < 50
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 17, 33, 64])
+    def test_random_objectives_at_random_scales(self, n, seed):
+        rng = np.random.default_rng([n, seed])
+        a = rng.standard_normal((n, n))
+        g_sym = (a + a.T) / 2
+        g_sym *= 10.0 ** rng.uniform(-3.0, 3.0) / np.abs(g_sym).sum(axis=1).max()
+        sol = solve(g_sym, 1e-8)
+        _assert_converged(g_sym, sol, 1e-8)
+
+    def test_zero_objective_returns_identity_at_once(self):
+        sol = solve(np.zeros((3, 3)), 1e-8)
+        assert sol.converged and sol.iterations == 0
+        assert np.array_equal(sol.z, np.eye(3)) and np.array_equal(sol.y, np.zeros(3))
+        assert sol.gap == 0.0
+
+    def test_iteration_cap_carries_best_iterate_and_diagnosis(self, monkeypatch):
+        g_sym = symmetrize(chsh_game(2)[0])
+        gaps = []
+        for cap in (1, 2, 3):
+            monkeypatch.setattr(sdp_mod, "MAX_ITERATIONS", cap)
+            with pytest.raises(MaxIterations) as info:
+                solve(g_sym, 1e-8)
+            sol = info.value.solution
+            assert not sol.converged and sol.iterations == cap
+            # the best iterate is feasible for both programs
+            assert np.abs(np.diag(sol.z) - 1.0).max() <= 1e-12
+            assert hermitian_eig(sol.z)[0][0] >= 0.0
+            assert verify_dual_feasible(sol.y, g_sym)[0]
+            assert sol.primal_value <= RT2_INV <= sol.dual_value
+            gaps.append(sol.gap)
+        assert gaps[0] >= gaps[1] >= gaps[2] > 1e-8
+        msg = str(info.value)
+        assert "within 3 iterations" in msg and f"best gap {gaps[2]:.3e}" in msg
+        assert "iteration cap reached" in msg
+        assert "primal" in msg and "dual" in msg and "mu" in msg
+
+    def test_collapsed_step_raises_with_diagnosis(self, monkeypatch):
+        monkeypatch.setattr(sdp_mod, "BACKTRACK_STEPS", 0)
+        g_sym = symmetrize(chsh_game(2)[0])
+        with pytest.raises(MaxIterations) as info:
+            solve(g_sym, 1e-8)
+        sol = info.value.solution
+        assert not sol.converged and sol.iterations == 0
+        assert verify_dual_feasible(sol.y, g_sym)[0]
+        assert "step collapsed" in str(info.value)
+
+    def test_non_finite_step_raises_with_diagnosis(self, monkeypatch):
+        # numpy's Cholesky accepts NaN entries, so the step test must refuse them
+        monkeypatch.setattr(sdp_mod.np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        g_sym = symmetrize(chsh_game(2)[0])
+        with pytest.raises(MaxIterations) as info:
+            solve(g_sym, 1e-8)
+        assert info.value.solution.iterations == 0
+        assert np.all(np.isfinite(info.value.solution.z))
+        assert "step collapsed" in str(info.value)
