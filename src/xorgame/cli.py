@@ -26,7 +26,6 @@ from .relations import (
     chshn_relations_form1,
     chshn_relations_form2,
     extract_relations,
-    residual,
 )
 from .sdp import DEFAULT_TOL, MaxIterations, solve
 from .strategies import bias, canonical_chshn, perturb, simulate, tsirelson_strategy

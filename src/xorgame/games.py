@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 NORMALIZATION_TOL = 1e-12
+# Entries of one sign-vector product S @ m in classical_bias (2 MB of floats).
+CLASSICAL_CHUNK_ENTRIES = 1 << 18
 
 
 class NotNormalized(ValueError):
@@ -130,13 +132,20 @@ def classical_bias(g: XorGame) -> float:
 
     Only the player with fewer questions is enumerated; the other player's
     best reply to each sign vector is exact, so 2^min(n_alice, n_bob) vectors
-    suffice.
+    suffice, and half of them, since a and −a score the same.  Sign vectors
+    are multiplied in chunks of CLASSICAL_CHUNK_ENTRIES product entries.
     """
     m = g.matrix if g.n_alice <= g.n_bob else g.matrix.T
-    if m.shape[0] > 24:
-        raise TooLarge(f"{m.shape[0]} questions on the smaller side exceed the enumeration guard of 24")
+    k, width = m.shape
+    if k > 24:
+        raise TooLarge(f"{k} questions on the smaller side exceed the enumeration guard of 24")
+    count = 1 << (k - 1)  # the first sign is fixed to +1
+    rows = max(1, CLASSICAL_CHUNK_ENTRIES // width)
+    shifts = np.arange(k - 1)
     best = -np.inf
-    for bits in itertools.product((-1.0, 1.0), repeat=m.shape[0]):
-        row = np.asarray(bits) @ m
-        best = max(best, float(np.abs(row).sum()))
+    for start in range(0, count, rows):
+        idx = np.arange(start, min(start + rows, count))
+        signs = np.ones((idx.size, k))
+        signs[:, 1:] = 1.0 - 2.0 * ((idx[:, None] >> shifts) & 1)
+        best = max(best, float(np.abs(signs @ m).sum(axis=1).max()))
     return best

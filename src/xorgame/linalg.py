@@ -44,7 +44,7 @@ def _as_complex_vector(w, name: str = "vector") -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+    return float(np.sqrt(np.vdot(a, a).real))
 
 
 def kron(a, b) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame, chshn_pair_order, symmetrize
+from .games import ChshnIndex, InvalidN, XorGame, chshn_pair_order, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig, vec_to_matrix
 from .strategies import Strategy, bias
 
@@ -124,20 +124,19 @@ def chshn_relations_form1(n: int) -> RelationSystem:
     of the two answer columns for that unordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    order = chshn_pair_order(n)
-    col_of = {ab: t for t, ab in enumerate(order)}
-    m = len(order)
+    index = ChshnIndex(n, chshn_pair_order(n))
+    m = len(index.pairs)
     pairs = []
-    for a, b in order:
+    for a, b in index.pairs:
         u = np.zeros(n)
         u[a - 1] = c
         v = np.zeros(m)
         if a < b:
-            v[col_of[(a, b)]] = c / np.sqrt(2.0)
-            v[col_of[(b, a)]] = c / np.sqrt(2.0)
+            v[index.column(a, b)] = c / np.sqrt(2.0)
+            v[index.column(b, a)] = c / np.sqrt(2.0)
         else:
-            v[col_of[(b, a)]] = c / np.sqrt(2.0)
-            v[col_of[(a, b)]] = -c / np.sqrt(2.0)
+            v[index.column(b, a)] = c / np.sqrt(2.0)
+            v[index.column(a, b)] = -c / np.sqrt(2.0)
         pairs.append((u, v))
     return RelationSystem(y, tuple(pairs), n, m)
 
@@ -147,11 +146,10 @@ def chshn_relations_form2(n: int) -> RelationSystem:
     single answer column for that ordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    order = chshn_pair_order(n)
-    col_of = {ab: t for t, ab in enumerate(order)}
-    m = len(order)
+    index = ChshnIndex(n, chshn_pair_order(n))
+    m = len(index.pairs)
     pairs = []
-    for a, b in order:
+    for a, b in index.pairs:
         u = np.zeros(n)
         if a < b:
             u[a - 1] = c / np.sqrt(2.0)
@@ -160,7 +158,7 @@ def chshn_relations_form2(n: int) -> RelationSystem:
             u[b - 1] = c / np.sqrt(2.0)
             u[a - 1] = -c / np.sqrt(2.0)
         v = np.zeros(m)
-        v[col_of[(a, b)]] = c
+        v[index.column(a, b)] = c
         pairs.append((u, v))
     return RelationSystem(y, tuple(pairs), n, m)
 
@@ -173,13 +171,12 @@ def residual(s: Strategy, rel: RelationSystem) -> float:
             f"relations want {rel.n_alice}x{rel.n_bob}"
         )
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    total = 0.0
-    for u, v in rel.pairs:
-        ua = sum(u[i] * s.alice[i].matrix for i in range(rel.n_alice))
-        vb = sum(v[j] * s.bob[j].matrix for j in range(rel.n_bob))
-        diff = ua @ mpsi - mpsi @ vb.T
-        total += float((np.abs(diff) ** 2).sum())
-    return total
+    u = np.array([uk for uk, _ in rel.pairs]).reshape(rel.r, rel.n_alice)
+    v = np.array([vk for _, vk in rel.pairs]).reshape(rel.r, rel.n_bob)
+    ua = np.tensordot(u, np.stack([o.matrix for o in s.alice]), axes=1)
+    vb = np.tensordot(v, np.stack([o.matrix for o in s.bob]), axes=1)
+    diff = ua @ mpsi - mpsi @ vb.transpose(0, 2, 1)
+    return float(np.vdot(diff, diff).real)
 
 
 def check_identity(

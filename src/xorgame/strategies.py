@@ -17,7 +17,6 @@ from .linalg import (
     DimensionMismatch,
     frobenius,
     hermitian_eig,
-    kron,
     matrix_to_vec,
     require_hermitian,
     vec_to_matrix,
@@ -107,14 +106,12 @@ def bias(g: XorGame, s: Strategy) -> float:
             f"game wants {g.n_alice}x{g.n_bob}"
         )
     m = vec_to_matrix(s.state, s.d_A, s.d_B)
-    total = 0.0 + 0.0j
-    for si in range(g.n_alice):
-        am = s.alice[si].matrix @ m
-        for ti in range(g.n_bob):
-            w = g.matrix[si, ti]
-            if w == 0.0:
-                continue
-            total += w * np.vdot(s.state, matrix_to_vec(am @ s.bob[ti].matrix.T))
+    alice = np.stack([o.matrix for o in s.alice])
+    bob = np.stack([o.matrix for o in s.bob])
+    # ⟨ψ|A_s⊗B_t|ψ⟩ = tr(M†A_sM·B_tᵀ) = Σ_bb' (M†A_sM)_bb' (B_t)_bb'
+    left = m.conj().T @ (alice @ m)
+    corr = left.reshape(g.n_alice, -1) @ bob.reshape(g.n_bob, -1).T
+    total = (g.matrix * corr).sum()
     if abs(total.imag) > 1e-8:
         raise NonRealBias(f"bias has imaginary part {total.imag:.3e}")
     return float(total.real)

@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame
+from .games import ChshnIndex, InvalidN, XorGame, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
     frobenius,
     hermitian_eig,
-    kron,
-    matrix_to_vec,
     schmidt,
     sign_normalize,
     vec_to_matrix,
@@ -84,16 +82,37 @@ def insertion_sign_right(j: BitString, k: int) -> int:
     return -1 if sum(j.bits[k:]) % 2 else 1
 
 
+def _chain_products(obs: tuple[Observable, ...]) -> np.ndarray:
+    """All 2ⁿ chain products O^j as a (2ⁿ, d, d) stack in BitString.all_strings
+    order, built by n batched doublings."""
+    mats = np.stack([o.matrix for o in obs])
+    d = mats.shape[-1]
+    acc = np.eye(d, dtype=complex)[None]
+    for o in mats:
+        acc = np.stack((acc, acc @ o), axis=1).reshape(-1, d, d)
+    return acc
+
+
+def _reference_family(ref: Strategy) -> np.ndarray:
+    """Rows are the vectors (Ã^j ⊗ I)|ψ̃⟩ of a maximally entangled strategy."""
+    chains = _chain_products(ref.alice)
+    return chains.reshape(chains.shape[0], -1) / np.sqrt(ref.d_A)
+
+
 def canonical_vector_family(n: int) -> list[np.ndarray]:
     """The 2ⁿ orthonormal vectors (Ã^j ⊗ I)|ψ̃⟩ of the canonical strategy."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"need integer n >= 2, got {n!r}")
-    ref = canonical_chshn(n)
-    d = ref.d_A
-    return [
-        matrix_to_vec(chain_product(list(ref.alice), j)) / np.sqrt(d)
-        for j in BitString.all_strings(n)
-    ]
+    return list(_reference_family(canonical_chshn(n)))
+
+
+def _intertwiner(s: Strategy, n: int, ref: Strategy) -> np.ndarray:
+    if len(s.alice) != n:
+        raise DimensionMismatch(f"strategy has {len(s.alice)} Alice observables, expected {n}")
+    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    x = (_chain_products(s.alice) @ mpsi).reshape(2**n, -1)
+    y = _reference_family(ref)
+    return (x.T @ y.conj()) / np.sqrt(2.0**n)
 
 
 def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
@@ -102,16 +121,7 @@ def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
     The reference vectors are orthonormal and each A^j is unitary, so
     ‖T‖_F = 1 for every valid strategy.
     """
-    if len(s.alice) != n:
-        raise DimensionMismatch(f"strategy has {len(s.alice)} Alice observables, expected {n}")
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    strings = BitString.all_strings(n)
-    alice = list(s.alice)
-    x = np.column_stack(
-        [matrix_to_vec(chain_product(alice, j) @ mpsi) for j in strings]
-    )
-    y = np.column_stack(canonical_vector_family(n))
-    return (x @ y.conj().T) / np.sqrt(2.0**n)
+    return _intertwiner(s, n, canonical_chshn(n))
 
 
 @dataclass(frozen=True)
@@ -137,21 +147,33 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     want_bob = n * (n - 1)
     if len(s.bob) != want_bob:
         raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {want_bob}")
-    t = build_intertwiner(s, n)
     ref = canonical_chshn(n)
+    t = _intertwiner(s, n, ref)
     d = ref.d_A
-    eye_b = np.eye(s.d_B, dtype=complex)
-    eye_a = np.eye(s.d_A, dtype=complex)
-    eye_d = np.eye(d, dtype=complex)
     eps = max(0.0, 1.0 - bias(g, s) / TSIRELSON_BIAS)
-    alice_res = tuple(
-        frobenius(kron(s.alice[i].matrix, eye_b) @ t - t @ kron(ref.alice[i].matrix, eye_d))
-        for i in range(n)
-    )
-    bob_res = tuple(
-        frobenius(kron(eye_a, s.bob[j].matrix) @ t - t @ kron(eye_d, ref.bob[j].matrix))
-        for j in range(want_bob)
-    )
+    t4 = t.reshape(s.d_A, s.d_B, d, d)
+    # Two buffers the size of T, reused for every observable: fresh
+    # temporaries per residual cost as much time as the products.
+    lhs = np.empty(t.size, dtype=complex)
+    rhs = np.empty(t.size, dtype=complex)
+
+    def residuals(layout: np.ndarray, ours, theirs) -> tuple[float, ...]:
+        # layout puts our factor first and the reference factor last, so
+        # (O⊗I)T and T(Õ⊗I) are two plain GEMMs on the same index order.
+        # The difference is formed directly: 2‖T‖² − 2Re⟨X,Y⟩ would cancel
+        # to rounding noise where the residual is near zero.
+        ours_first = layout.reshape(layout.shape[0], -1)
+        ref_last = layout.reshape(-1, d)
+        out = []
+        for o, ot in zip(ours, theirs):
+            np.matmul(o.matrix, ours_first, out=lhs.reshape(ours_first.shape))
+            np.matmul(ref_last, ot.matrix, out=rhs.reshape(ref_last.shape))
+            out.append(frobenius(np.subtract(lhs, rhs, out=lhs)))
+        return tuple(out)
+
+    # t4 axes are (a, b, c, e): Alice, Bob, reference Alice, reference Bob.
+    alice_res = residuals(np.ascontiguousarray(t4.transpose(0, 1, 3, 2)), s.alice, ref.alice)
+    bob_res = residuals(np.ascontiguousarray(t4.transpose(1, 0, 2, 3)), s.bob, ref.bob)
     a_bound = 12.0 * n * n * np.sqrt(eps)
     b_bound = 17.0 * n * n * np.sqrt(eps)
     holds = all(r <= a_bound + 1e-12 for r in alice_res) and all(
@@ -182,13 +204,6 @@ def anticommutation_residual(s: Strategy, n: int) -> float:
     return total
 
 
-def _pair_columns(n: int):
-    from .games import chshn_pair_order
-
-    order = chshn_pair_order(n)
-    return {ab: t for t, ab in enumerate(order)}
-
-
 def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
     """Best Bob-side surrogate for Alice's k-th observable.
 
@@ -200,7 +215,7 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
     if len(s.bob) != n * (n - 1):
         raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {n*(n-1)}")
-    col = _pair_columns(n)
+    index = ChshnIndex(n, chshn_pair_order(n))
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     ak = s.alice[k - 1].matrix
     best = None
@@ -208,7 +223,7 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
         if l == k:
             continue
         sign = 1.0 if k < l else -1.0
-        op = sign * s.bob[col[(k, l)]].matrix + s.bob[col[(l, k)]].matrix
+        op = sign * s.bob[index.column(k, l)].matrix + s.bob[index.column(l, k)].matrix
         nrm = sign_normalize(op)
         dev = frobenius(ak @ mpsi - mpsi @ nrm.T)
         if best is None or dev < best[1]:
@@ -299,10 +314,10 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
         for j in range(i + 1, n):
             ac = s.alice[i].matrix @ s.alice[j].matrix + s.alice[j].matrix @ s.alice[i].matrix
             anti = max(anti, frobenius(p_a @ ac @ p_a))
-    col = _pair_columns(n)
+    index = ChshnIndex(n, chshn_pair_order(n))
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     b_dev = 0.0
-    for (a, b), t in col.items():
+    for t, (a, b) in enumerate(index.pairs):
         if a < b:
             comb = (s.alice[a - 1].matrix + s.alice[b - 1].matrix) / np.sqrt(2.0)
         else:

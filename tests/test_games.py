@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xorgame import games
 from xorgame.games import (
     InvalidN,
     NotNormalized,
@@ -139,6 +142,37 @@ class TestClassicalBias:
             a = rng.choice([-1.0, 1.0], size=3)
             b = rng.choice([-1.0, 1.0], size=4)
             assert a @ g.matrix @ b <= best + 1e-12
+
+
+def _loop_classical_bias(g):
+    """One sign vector of the smaller side at a time, all 2^k of them."""
+    m = g.matrix if g.n_alice <= g.n_bob else g.matrix.T
+    best = -np.inf
+    for bits in itertools.product((-1.0, 1.0), repeat=m.shape[0]):
+        best = max(best, float(np.abs(np.asarray(bits) @ m).sum()))
+    return best
+
+
+def _random_games(seed):
+    rng = np.random.default_rng(seed)
+    for k in range(1, 13):
+        shape = (k, k + int(rng.integers(0, 4)))
+        if rng.random() < 0.5:
+            shape = shape[::-1]
+        yield new_game(rng.standard_normal(shape), normalize=True)
+
+
+class TestClassicalBiasMatchesLoop:
+    def test_random_games_up_to_12_questions(self):
+        for g in _random_games(7):
+            assert classical_bias(g) == pytest.approx(_loop_classical_bias(g), abs=1e-12)
+
+    def test_chunks_of_a_few_rows(self, monkeypatch):
+        # 3 rows per chunk of a (rows x width) product: many chunks per game
+        for g in _random_games(8):
+            width = max(g.n_alice, g.n_bob)
+            monkeypatch.setattr(games, "CLASSICAL_CHUNK_ENTRIES", 3 * width)
+            assert classical_bias(g) == pytest.approx(_loop_classical_bias(g), abs=1e-12)
 
 
 class TestSymmetrize:

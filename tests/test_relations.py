@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorgame.games import chsh_game, new_game, symmetrize
-from xorgame.linalg import DimensionMismatch
+from xorgame.linalg import DimensionMismatch, vec_to_matrix
 from xorgame.relations import (
     DualInfeasible,
     RelationSystem,
@@ -28,7 +28,7 @@ from xorgame.strategies import (
     perturb,
 )
 
-from conftest import random_observable
+from conftest import near_optimal_variants, random_observable
 
 RT2 = np.sqrt(2.0)
 
@@ -214,6 +214,40 @@ class TestResidualValues:
         s = canonical_chshn(2)
         with pytest.raises(ValueError):
             certify_epsilon(g, s, chshn_relations_form1(2), 0.0)
+
+
+def _pairwise_residual(s, rel):
+    """Σ_k ‖(u_k·A⃗ ⊗ I)|ψ⟩ − (I ⊗ v_k·B⃗)|ψ⟩‖², one relation pair at a time."""
+    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    total = 0.0
+    for u, v in rel.pairs:
+        ua = sum(u[i] * s.alice[i].matrix for i in range(rel.n_alice))
+        vb = sum(v[j] * s.bob[j].matrix for j in range(rel.n_bob))
+        diff = ua @ mpsi - mpsi @ vb.T
+        total += float((np.abs(diff) ** 2).sum())
+    return total
+
+
+class TestResidualMatchesPairwiseReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_near_optimal_variants(self, n):
+        g, _ = chsh_game(n)
+        systems = [
+            chshn_relations_form1(n),
+            chshn_relations_form2(n),
+            extract_relations(g, chshn_dual_y(n)),
+        ]
+        for s in near_optimal_variants(n):
+            for rel in systems:
+                want = _pairwise_residual(s, rel)
+                assert want > 1e-4
+                assert abs(residual(s, rel) - want) <= 1e-12
+
+    def test_empty_system_gives_zero(self):
+        g, _ = chsh_game(2)
+        rel = extract_relations(g, chshn_dual_y(2), cutoff=10.0)
+        assert rel.r == 0
+        assert residual(perturb(canonical_chshn(2), 0.3, seed=1), rel) == 0.0
 
 
 class TestRelationSystemType:

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from xorgame.games import chsh_game, new_game
-from xorgame.linalg import DimensionMismatch, kron
+from xorgame.linalg import DimensionMismatch, kron, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
     BadDiagonal,
     InvalidK,
@@ -19,6 +21,8 @@ from xorgame.strategies import (
     simulate,
     tsirelson_strategy,
 )
+
+from conftest import near_optimal_variants, random_observable
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -144,6 +148,58 @@ class TestBias:
         psi = np.kron([1.0, 0.0], [1.0 / RT2, 1.0 / RT2])
         s = Strategy(2, 2, (Observable(SZ),), (Observable(SX),), psi)
         assert bias(g, s) == pytest.approx(1.0, abs=1e-14)
+
+
+def _pairwise_bias(g, s):
+    """Σ_st G_st ⟨ψ|A_s⊗B_t|ψ⟩ with one vdot per question pair."""
+    m = vec_to_matrix(s.state, s.d_A, s.d_B)
+    total = 0.0 + 0.0j
+    for si in range(g.n_alice):
+        am = s.alice[si].matrix @ m
+        for ti in range(g.n_bob):
+            w = g.matrix[si, ti]
+            if w == 0.0:
+                continue
+            total += w * np.vdot(s.state, matrix_to_vec(am @ s.bob[ti].matrix.T))
+    return total
+
+
+class TestBiasMatchesPairwiseReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_near_optimal_variants(self, n):
+        g, _ = chsh_game(n)
+        for s in near_optimal_variants(n):
+            want = _pairwise_bias(g, s)
+            assert abs(want.imag) < 1e-12
+            assert abs(bias(g, s) - want.real) <= 1e-12
+
+    def test_random_game_and_strategy(self, rng):
+        g = new_game(rng.standard_normal((3, 5)), normalize=True)
+        psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        s = Strategy(
+            4,
+            3,
+            tuple(random_observable(rng, 4) for _ in range(3)),
+            tuple(random_observable(rng, 3) for _ in range(5)),
+            psi / np.linalg.norm(psi),
+        )
+        assert abs(bias(g, s) - _pairwise_bias(g, s).real) <= 1e-12
+
+    def test_non_real_bias_rejected(self):
+        # bypass Strategy validation: a non-Hermitian "observable" for Bob
+        # makes ⟨ψ|σ_x⊗B|ψ⟩ = tr(σ_x·Bᵀ)/2 = i/2
+        g = new_game(np.array([[1.0]]))
+        broken = object.__new__(Strategy)
+        for name, value in (
+            ("d_A", 2),
+            ("d_B", 2),
+            ("alice", (Observable(SX),)),
+            ("bob", (SimpleNamespace(matrix=np.array([[0, 1j], [0, 0]])),)),
+            ("state", maximally_entangled(2)),
+        ):
+            object.__setattr__(broken, name, value)
+        with pytest.raises(NonRealBias):
+            bias(g, broken)
 
 
 class TestTsirelson:

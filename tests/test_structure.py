@@ -30,7 +30,7 @@ from xorgame.structure import (
     verify_optimal_form,
 )
 
-from conftest import random_observable
+from conftest import near_optimal_variants, random_observable
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -148,6 +148,14 @@ class TestCanonicalVectorFamily:
         with pytest.raises(InvalidN):
             canonical_vector_family(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_chain_product_per_string(self, n):
+        ref = canonical_chshn(n)
+        vecs = canonical_vector_family(n)
+        for v, j in zip(vecs, BitString.all_strings(n)):
+            want = matrix_to_vec(chain_product(list(ref.alice), j)) / np.sqrt(ref.d_A)
+            assert np.abs(v - want).max() <= 1e-15
+
 
 class TestBuildIntertwiner:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -196,7 +204,61 @@ class TestBuildIntertwiner:
             build_intertwiner(canonical_chshn(2), 3)
 
 
+def _reference_intertwiner(s, n):
+    """Reference T: one chain_product call per bit string for both families."""
+    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    strings = BitString.all_strings(n)
+    x = np.column_stack(
+        [matrix_to_vec(chain_product(list(s.alice), j) @ mpsi) for j in strings]
+    )
+    ref = canonical_chshn(n)
+    y = np.column_stack(
+        [matrix_to_vec(chain_product(list(ref.alice), j)) / np.sqrt(ref.d_A) for j in strings]
+    )
+    return (x @ y.conj().T) / np.sqrt(2.0**n)
+
+
+def _kron_residuals(s, n, t):
+    """‖(O⊗I)T − T(Õ⊗I)‖_F per observable, with dense Kronecker products."""
+    ref = canonical_chshn(n)
+    eye_a = np.eye(s.d_A, dtype=complex)
+    eye_b = np.eye(s.d_B, dtype=complex)
+    eye_d = np.eye(ref.d_A, dtype=complex)
+    alice = [
+        frobenius(kron(o.matrix, eye_b) @ t - t @ kron(ot.matrix, eye_d))
+        for o, ot in zip(s.alice, ref.alice)
+    ]
+    bob = [
+        frobenius(kron(eye_a, o.matrix) @ t - t @ kron(eye_d, ot.matrix))
+        for o, ot in zip(s.bob, ref.bob)
+    ]
+    return alice, bob
+
+
 class TestIntertwinerReport:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_kron_reference(self, n):
+        g, _ = chsh_game(n)
+        for s in near_optimal_variants(n):
+            rep = intertwiner_report(g, s, n)
+            t = _reference_intertwiner(s, n)
+            assert np.abs(rep.t - t).max() <= 1e-12
+            assert np.abs(build_intertwiner(s, n) - t).max() <= 1e-12
+            alice, bob = _kron_residuals(s, n, t)
+            assert np.abs(np.subtract(rep.alice_residuals, alice)).max() <= 1e-12
+            assert np.abs(np.subtract(rep.bob_residuals, bob)).max() <= 1e-12
+            assert max(rep.alice_residuals) > 1e-3
+
+    @pytest.mark.parametrize("theta", [0.0, 0.05])
+    def test_chsh9(self, theta):
+        n = 9
+        g, _ = chsh_game(n)
+        rep = intertwiner_report(g, perturb(canonical_chshn(n), theta, seed=9), n)
+        assert abs(rep.frob_norm - 1.0) <= 1e-9
+        assert rep.bounds_hold
+        assert len(rep.alice_residuals) == n
+        assert len(rep.bob_residuals) == n * (n - 1)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_canonical_residuals_vanish(self, n):
         g, _ = chsh_game(n)
