@@ -9,12 +9,8 @@ report instead; checking commands always print a run report.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -29,7 +25,7 @@ from .relations import (
 )
 from .sdp import DEFAULT_TOL, MaxIterations, solve
 from .strategies import bias, canonical_chshn, perturb, simulate, tsirelson_strategy
-from .structure import intertwiner_report, verify_optimal_form
+from .structure import intertwiner_report, intertwiner_sweep, verify_optimal_form
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -47,10 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 class InputError(Exception):
     """Unreadable or malformed input; mapped to exit 1."""
-
-
-def _fmt(x) -> float:
-    return serialize.jfloat(x)
 
 
 def _read(path: str):
@@ -90,7 +82,7 @@ def _report(command: str, inputs: dict, outputs: dict, t0: float) -> dict:
         "command": command,
         "inputs": inputs,
         "outputs": outputs,
-        "wall_time": _fmt(time.perf_counter() - t0),
+        "wall_time": serialize.jfloat(time.perf_counter() - t0),
     }
 
 
@@ -125,7 +117,7 @@ def _cmd_game_check(args) -> int:
         "valid": True,
         "n_alice": g.n_alice,
         "n_bob": g.n_bob,
-        "abs_sum": _fmt(np.abs(g.matrix).sum()),
+        "abs_sum": serialize.jfloat(np.abs(g.matrix).sum()),
     }
     _print(_report("game check", inputs, outputs, t0))
     return EXIT_OK
@@ -151,9 +143,9 @@ def _cmd_solve(args) -> int:
     if args.out:
         serialize.write_json(serialize.solution_to_dict(sol), args.out)
     outputs = {
-        "primal_value": _fmt(sol.primal_value),
-        "dual_value": _fmt(sol.dual_value),
-        "gap": _fmt(sol.gap),
+        "primal_value": serialize.jfloat(sol.primal_value),
+        "dual_value": serialize.jfloat(sol.dual_value),
+        "gap": serialize.jfloat(sol.gap),
         "iterations": sol.iterations,
         "converged": sol.converged,
     }
@@ -206,10 +198,10 @@ def _cmd_relations_residual(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc))
     outputs = {
-        "residual": _fmt(lhs),
-        "sum_y": _fmt(rel.y.sum()),
-        "bias": _fmt(bias(g, s)),
-        "identity_gap": _fmt(lhs - rhs),
+        "residual": serialize.jfloat(lhs),
+        "sum_y": serialize.jfloat(rel.y.sum()),
+        "bias": serialize.jfloat(bias(g, s)),
+        "identity_gap": serialize.jfloat(lhs - rhs),
         "identity_ok": bool(ok),
     }
     _print(_report("relations residual", inputs, outputs, t0))
@@ -252,7 +244,7 @@ def _cmd_strategy_bias(args) -> int:
         b = bias(g, s)
     except ValueError as exc:
         raise InputError(str(exc))
-    _print(_report("strategy bias", inputs, {"bias": _fmt(b)}, t0))
+    _print(_report("strategy bias", inputs, {"bias": serialize.jfloat(b)}, t0))
     return EXIT_OK
 
 
@@ -266,8 +258,8 @@ def _cmd_strategy_simulate(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc))
     outputs = {
-        "empirical_bias": _fmt(mean),
-        "stderr": _fmt(stderr),
+        "empirical_bias": serialize.jfloat(mean),
+        "stderr": serialize.jfloat(stderr),
         "rounds": args.rounds,
         "seed": args.seed,
     }
@@ -303,11 +295,11 @@ def _cmd_structure_verify(args) -> int:
         "block_size": rep.block_size,
         "rank_divisible": rep.rank_divisible,
         "blocks_equal": rep.blocks_equal,
-        "blocks_max_deviation": _fmt(rep.blocks_max_deviation),
-        "support_invariant_A": _fmt(rep.support_invariant_A),
-        "support_invariant_B": _fmt(rep.support_invariant_B),
-        "anticommute_on_support": _fmt(rep.anticommute_on_support),
-        "b_block_relation": _fmt(rep.b_block_relation),
+        "blocks_max_deviation": serialize.jfloat(rep.blocks_max_deviation),
+        "support_invariant_A": serialize.jfloat(rep.support_invariant_A),
+        "support_invariant_B": serialize.jfloat(rep.support_invariant_B),
+        "anticommute_on_support": serialize.jfloat(rep.anticommute_on_support),
+        "b_block_relation": serialize.jfloat(rep.b_block_relation),
         "verdict": rep.verdict,
     }
     _print(_report("structure verify", inputs, outputs, t0))
@@ -338,17 +330,6 @@ def _cmd_intertwiner_report(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-SWEEP_COLUMNS = (
-    "n",
-    "theta",
-    "seed",
-    "epsilon",
-    "max_alice_residual",
-    "alice_bound",
-    "max_bob_residual",
-    "bob_bound",
-)
-
 
 def _parse_list(text: str, conv, flag: str):
     try:
@@ -357,57 +338,20 @@ def _parse_list(text: str, conv, flag: str):
         raise InputError(f"cannot parse {flag} list: {text!r}")
 
 
-def _sweep_cell(cell):
-    g, base, n, theta, seed = cell
-    s = perturb(base, theta, seed)
-    rep = intertwiner_report(g, s, n)
-    row = (
-        n,
-        theta,
-        seed,
-        rep.epsilon,
-        max(rep.alice_residuals),
-        rep.alice_bound,
-        max(rep.bob_residuals),
-        rep.bob_bound,
-    )
-    return row, rep.bounds_hold
-
-
 def _cmd_sweep(args) -> int:
     ns = _parse_list(args.n_values, int, "--n-values")
     thetas = _parse_list(args.thetas, float, "--thetas")
     seeds = _parse_list(args.seeds, int, "--seeds")
-    if not ns or not thetas or not seeds:
-        raise InputError("sweep grid is empty")
-    cells = []
-    for n in ns:
-        g, _ = chsh_game(n)
-        base = canonical_chshn(n)
-        for theta in thetas:
-            for seed in seeds:
-                cells.append((g, base, n, theta, seed))
-    workers = max(1, int(os.environ.get("XORGAME_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_cell, cells))
-    else:
-        results = [_sweep_cell(c) for c in cells]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    lines = [serialize.SWEEP_HEADER]
     all_hold = True
-    for (n, theta, seed, eps, ares, abound, bres, bbound), holds in results:
-        all_hold = all_hold and holds
-        writer.writerow(
-            [n, f"{theta:.12g}", seed]
-            + [f"{x:.12g}" for x in (eps, ares, abound, bres, bbound)]
-        )
+    for n, theta, seed, rep in intertwiner_sweep(ns, thetas, seeds):
+        lines.append(serialize.sweep_row(n, theta, seed, rep))
+        all_hold = all_hold and rep.bounds_hold
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(buf.getvalue())
+            fh.writelines(lines)
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.writelines(lines)
     return EXIT_OK if all_hold else EXIT_VERIFY
 
 

@@ -70,17 +70,18 @@ def new_game(matrix, normalize: bool = False, labels: tuple[str, ...] | None = N
 
 @dataclass(frozen=True)
 class ChshnIndex:
-    """Column order for Bob's ordered-pair questions in CHSH(n).
+    """Column order for Bob's ordered-pair questions in CHSH(n), built from n.
 
     Unordered pairs ascend lexicographically and each emits (i,j) then (j,i):
-    (1,2),(2,1),(1,3),(3,1),...,(n-1,n),(n,n-1).
+    (1,2),(2,1),(1,3),(3,1),...,(n-1,n),(n,n-1) (see chshn_pair_order).
     """
 
     n: int
-    pairs: tuple[tuple[int, int], ...]
-    _col_of: dict = field(repr=False, hash=False, compare=False, default=None)
+    pairs: tuple[tuple[int, int], ...] = field(init=False)
+    _col_of: dict = field(init=False, repr=False, hash=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pairs", chshn_pair_order(self.n))
         object.__setattr__(self, "_col_of", {p: c for c, p in enumerate(self.pairs)})
 
     def column(self, i: int, j: int) -> int:
@@ -106,8 +107,8 @@ def chsh_game(n: int) -> tuple[XorGame, ChshnIndex]:
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
-    pairs = chshn_pair_order(n)
-    index = ChshnIndex(int(n), pairs)
+    index = ChshnIndex(int(n))
+    pairs = index.pairs
     w = 1.0 / (2 * n * (n - 1))
     m = np.zeros((n, len(pairs)))
     for c, (a, b) in enumerate(pairs):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ChshnIndex, InvalidN, XorGame, chshn_pair_order, symmetrize
+from .games import ChshnIndex, InvalidN, XorGame, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig, vec_to_matrix
 from .strategies import Strategy, bias
 
@@ -124,7 +124,7 @@ def chshn_relations_form1(n: int) -> RelationSystem:
     of the two answer columns for that unordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    index = ChshnIndex(n, chshn_pair_order(n))
+    index = ChshnIndex(n)
     m = len(index.pairs)
     pairs = []
     for a, b in index.pairs:
@@ -146,7 +146,7 @@ def chshn_relations_form2(n: int) -> RelationSystem:
     single answer column for that ordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    index = ChshnIndex(n, chshn_pair_order(n))
+    index = ChshnIndex(n)
     m = len(index.pairs)
     pairs = []
     for a, b in index.pairs:

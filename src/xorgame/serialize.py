@@ -1,9 +1,10 @@
-"""JSON artifact formats shared by the library and the CLI.
+"""Artifact formats shared by the library, the CLI and the scripts.
 
 Every number is emitted with 12 significant digits; since 12-digit decimals
 round-trip exactly through doubles, re-serializing a loaded file reproduces
 it byte for byte.  Complex numbers are [re, im] pairs; matrices are
-{"rows", "cols", "entries"} with row-major entries.
+{"rows", "cols", "entries"} with row-major entries.  The residual-vs-bound
+sweep is CSV with the SWEEP_COLUMNS header.
 """
 from __future__ import annotations
 
@@ -170,6 +171,26 @@ def intertwiner_report_to_dict(rep: IntertwinerReport) -> dict:
         "bob_bound": jfloat(rep.bob_bound),
         "bounds_hold": bool(rep.bounds_hold),
     }
+
+
+SWEEP_COLUMNS = (
+    "n",
+    "theta",
+    "seed",
+    "epsilon",
+    "max_alice_residual",
+    "alice_bound",
+    "max_bob_residual",
+    "bob_bound",
+)
+SWEEP_HEADER = ",".join(SWEEP_COLUMNS) + "\n"
+
+
+def sweep_row(n: int, theta: float, seed: int, rep: IntertwinerReport) -> str:
+    """One CSV line of the sweep in SWEEP_COLUMNS order, floats at 12 significant digits."""
+    floats = (rep.epsilon, max(rep.alice_residuals), rep.alice_bound,
+              max(rep.bob_residuals), rep.bob_bound)
+    return f"{n},{theta:.12g},{seed}," + ",".join(f"{x:.12g}" for x in floats) + "\n"
 
 
 def dumps(data) -> str:

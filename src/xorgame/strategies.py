@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame
+from .games import InvalidN, XorGame, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
     frobenius,
@@ -141,12 +141,19 @@ def sigma_observables(k: int) -> list[Observable]:
     return out
 
 
+def _matched_combinations(mats) -> np.ndarray:
+    """Bob's matched pair rule on Alice's n matrices, stacked in CHSH(n) column
+    order: (A_a + A_b)/√2 for the ordered pair (a,b) if a < b, (A_b − A_a)/√2 if a > b."""
+    combs = [mats[a - 1] + mats[b - 1] if a < b else mats[b - 1] - mats[a - 1]
+             for a, b in chshn_pair_order(len(mats))]
+    return np.stack(combs) / np.sqrt(2)
+
+
 def canonical_chshn(n: int) -> Strategy:
     """The canonical optimal CHSH(n) strategy on C^(2^⌈n/2⌉) ⊗ C^(2^⌈n/2⌉).
 
-    Alice's observables anticommute pairwise; Bob answers pair (j,l) with
-    (A_jᵀ + A_lᵀ)/√2 for j < l and (A_lᵀ - A_jᵀ)/√2 ... i.e. the ordered pair
-    (a,b) gets (A_aᵀ + A_bᵀ)/√2 if a < b and (A_bᵀ - A_aᵀ)/√2 if a > b; the
+    Alice's observables anticommute pairwise; Bob answers the ordered pair
+    (a,b) with (A_aᵀ + A_bᵀ)/√2 if a < b and (A_bᵀ − A_aᵀ)/√2 if a > b; the
     state is maximally entangled.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -161,14 +168,7 @@ def canonical_chshn(n: int) -> Strategy:
         alice_mats = [np.kron(eye2, fam[i].matrix) for i in range(2 * k)]
         alice_mats.append(np.kron(_SIGMA_Z, fam[2 * k].matrix))
         d = 2 ** (k + 1)
-    from .games import chshn_pair_order
-
-    bob_mats = []
-    for a, b in chshn_pair_order(n):
-        if a < b:
-            bob_mats.append((alice_mats[a - 1].T + alice_mats[b - 1].T) / np.sqrt(2))
-        else:
-            bob_mats.append((alice_mats[b - 1].T - alice_mats[a - 1].T) / np.sqrt(2))
+    bob_mats = _matched_combinations(alice_mats).transpose(0, 2, 1)
     return Strategy(
         d,
         d,

@@ -10,11 +10,12 @@ builds T, measures every residual, and checks the quantitative bounds.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ChshnIndex, InvalidN, XorGame, chshn_pair_order
+from .games import ChshnIndex, InvalidN, XorGame, chsh_game
 from .linalg import (
     DimensionMismatch,
     frobenius,
@@ -23,7 +24,7 @@ from .linalg import (
     sign_normalize,
     vec_to_matrix,
 )
-from .strategies import Observable, Strategy, bias, canonical_chshn
+from .strategies import Observable, Strategy, _matched_combinations, bias, canonical_chshn, perturb
 
 TSIRELSON_BIAS = 1.0 / np.sqrt(2.0)
 
@@ -191,6 +192,25 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     )
 
 
+def intertwiner_sweep(
+    n_values, thetas, seeds
+) -> Iterator[tuple[int, float, int, IntertwinerReport]]:
+    """(n, θ, seed, report) for the canonical CHSH(n) strategy perturbed by
+    θ with that seed, over the grid n_values × thetas × seeds in that order.
+
+    The game and the canonical strategy are built once per n.  An empty axis
+    raises ValueError: a sweep without cells checks no bound.
+    """
+    if not (n_values and thetas and seeds):
+        raise ValueError("sweep grid is empty")
+    for n in n_values:
+        g, _ = chsh_game(n)
+        base = canonical_chshn(n)
+        for theta in thetas:
+            for seed in seeds:
+                yield n, theta, seed, intertwiner_report(g, perturb(base, theta, seed), n)
+
+
 def anticommutation_residual(s: Strategy, n: int) -> float:
     """Σ_{i<j} ‖((A_iA_j + A_jA_i)/2 ⊗ I)|ψ⟩‖²; bounded by (1+√2)² n(n−1) ε."""
     if len(s.alice) != n:
@@ -215,7 +235,7 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
     if len(s.bob) != n * (n - 1):
         raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {n*(n-1)}")
-    index = ChshnIndex(n, chshn_pair_order(n))
+    index = ChshnIndex(n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     ak = s.alice[k - 1].matrix
     best = None
@@ -314,15 +334,10 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
         for j in range(i + 1, n):
             ac = s.alice[i].matrix @ s.alice[j].matrix + s.alice[j].matrix @ s.alice[i].matrix
             anti = max(anti, frobenius(p_a @ ac @ p_a))
-    index = ChshnIndex(n, chshn_pair_order(n))
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    b_dev = 0.0
-    for t, (a, b) in enumerate(index.pairs):
-        if a < b:
-            comb = (s.alice[a - 1].matrix + s.alice[b - 1].matrix) / np.sqrt(2.0)
-        else:
-            comb = (s.alice[b - 1].matrix - s.alice[a - 1].matrix) / np.sqrt(2.0)
-        b_dev = max(b_dev, frobenius(comb @ mpsi - mpsi @ s.bob[t].matrix.T))
+    combs = _matched_combinations([o.matrix for o in s.alice])
+    bob_t = np.stack([o.matrix for o in s.bob]).transpose(0, 2, 1)
+    b_dev = max(map(frobenius, combs @ mpsi - mpsi @ bob_t))
     verdict = (
         divisible
         and blocks_dev <= tol

@@ -313,7 +313,7 @@ class TestSweepCommand:
         assert code == 0
         with open(out) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(cli.SWEEP_COLUMNS)
+        assert rows[0] == list(sz.SWEEP_COLUMNS)
         assert len(rows) == 1 + 1 * 2 * 2
         for row in rows[1:]:
             n, theta, seed, eps, ares, abound, bres, bbound = row
@@ -321,12 +321,14 @@ class TestSweepCommand:
             if float(theta) == 0.0:
                 assert float(ares) <= 1e-8 and float(bres) <= 1e-8
 
-    def test_stdout_and_thread_invariance(self, capsys, monkeypatch):
-        code, out1, _ = run(capsys, "sweep", "--n-values", "2", "--thetas", "0.03", "--seeds", "0,1,2")
-        monkeypatch.setenv("XORGAME_THREADS", "4")
-        code2, out4, _ = run(capsys, "sweep", "--n-values", "2", "--thetas", "0.03", "--seeds", "0,1,2")
+    def test_stdout_equals_out_file(self, capsys, tmp_path):
+        argv = ("sweep", "--n-values", "2", "--thetas", "0.03", "--seeds", "0,1,2")
+        code, stdout, _ = run(capsys, *argv)
+        out = tmp_path / "sweep.csv"
+        code2, printed, _ = run(capsys, *argv, "--out", str(out))
         assert code == code2 == 0
-        assert out1 == out4
+        assert printed == ""
+        assert out.read_bytes() == stdout.encode()
 
     def test_empty_grid_is_usage_error(self, capsys):
         code, _, err = run(capsys, "sweep", "--n-values", "")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from xorgame import games
 from xorgame.games import (
+    ChshnIndex,
     InvalidN,
     NotNormalized,
     TooLarge,
@@ -89,6 +90,12 @@ class TestChshGame:
     def test_labels_follow_pairs(self):
         g, idx = chsh_game(2)
         assert g.labels == ("1,2", "2,1")
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_index_built_from_n(self, n):
+        idx = ChshnIndex(n)
+        assert idx.pairs == chshn_pair_order(n)
+        assert chsh_game(n)[1] == idx
 
     def test_index_round_trip(self):
         _, idx = chsh_game(4)

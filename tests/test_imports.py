@@ -1,11 +1,12 @@
-"""Every module-level import in the package is used in its module."""
+"""Every module-level import in the package and the scripts is used in its module."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "xorgame"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "xorgame").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -1,8 +1,12 @@
 import csv
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
+
+import xorgame.structure as structure
+from xorgame import cli, serialize
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -44,9 +48,56 @@ def test_bound_sweep_writes_csv(tmp_path, capsys):
     assert bound_sweep.main(argv) == 0
     with open(out) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == list(bound_sweep.COLUMNS)
+    assert rows[0] == list(serialize.SWEEP_COLUMNS)
     assert len(rows) == 1 + 2 * 2 * 1
     for n, theta, seed, eps, ares, abound, bres, bbound in rows[1:]:
         assert float(ares) <= float(abound) + 1e-12
         assert float(bres) <= float(bbound) + 1e-12
     assert "worst residual/bound ratio" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--n-values", "2,3", "--thetas", "0,0.05", "--seeds", "3,1"]],
+    ids=["default-grid", "small-grid"],
+)
+def test_bound_sweep_writes_the_cli_sweep_bytes(tmp_path, capsys, argv):
+    bound_sweep = _load("bound_sweep")
+    assert cli.main(["sweep", *argv]) == 0
+    cli_csv = capsys.readouterr().out
+    assert bound_sweep.main(argv) == 0
+    assert capsys.readouterr().out == cli_csv
+    out = tmp_path / "sweep.csv"
+    assert bound_sweep.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == cli_csv.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--thetas=-0.1"], ["--n-values", ""], ["--n-values", "1"], ["--seeds", "x"], ["--bogus"]],
+    ids=["negative-theta", "empty-n-values", "n1", "unparsable", "unknown-flag"],
+)
+def test_bound_sweep_input_errors_exit_1_like_the_cli(tmp_path, capsys, argv):
+    bound_sweep = _load("bound_sweep")
+    out = tmp_path / "sweep.csv"
+    assert bound_sweep.main([*argv, "--out", str(out)]) == 1
+    assert cli.main(["sweep", *argv, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+
+
+def test_bound_sweep_failed_bound_exits_2_like_the_cli(capsys, monkeypatch):
+    # valid strategies meet the bounds, so mark the reports as failing directly
+    real = structure.intertwiner_report
+
+    def failing(*a, **k):
+        return dataclasses.replace(real(*a, **k), bounds_hold=False)
+
+    monkeypatch.setattr(structure, "intertwiner_report", failing)
+    bound_sweep = _load("bound_sweep")
+    argv = ["--n-values", "2", "--thetas", "0.05", "--seeds", "0"]
+    assert bound_sweep.main(argv) == 2
+    script_csv = capsys.readouterr().out
+    assert cli.main(["sweep", *argv]) == 2
+    assert capsys.readouterr().out == script_csv
+    assert len(script_csv.splitlines()) == 2

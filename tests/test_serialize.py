@@ -140,3 +140,25 @@ class TestFiles:
         p.write_text("{nope")
         with pytest.raises(sz.FileFormatError):
             sz.read_json(str(p))
+
+
+class TestSweepCsv:
+    def test_header_is_the_column_list(self):
+        assert sz.SWEEP_HEADER == ",".join(sz.SWEEP_COLUMNS) + "\n"
+        assert len(sz.SWEEP_COLUMNS) == 8
+
+    def test_row_keeps_ints_and_rounds_floats_to_12_digits(self):
+        from xorgame.structure import IntertwinerReport
+
+        rep = IntertwinerReport(
+            t=np.eye(1, dtype=complex),
+            frob_norm=1.0,
+            alice_residuals=(0.1, 2.0 / 3.0),
+            bob_residuals=(1e-20, 0.0),
+            epsilon=1.0 / 3.0,
+            alice_bound=12.0,
+            bob_bound=17.0,
+            bounds_hold=True,
+        )
+        row = sz.sweep_row(3, 1.0 / 7.0, 10**13, rep)
+        assert row == "3,0.142857142857,10000000000000,0.333333333333,0.666666666667,12,1e-20,17\n"

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from xorgame.games import InvalidN, chsh_game
+import xorgame.structure as structure
+from xorgame.games import InvalidN, chsh_game, chshn_pair_order
 from xorgame.linalg import DimensionMismatch, frobenius, kron, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
     Observable,
@@ -26,6 +27,7 @@ from xorgame.structure import (
     insertion_sign_left,
     insertion_sign_right,
     intertwiner_report,
+    intertwiner_sweep,
     normalization_lemma_check,
     verify_optimal_form,
 )
@@ -434,3 +436,56 @@ class TestVerifyOptimalForm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             verify_optimal_form(canonical_chshn(2), 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_b_block_relation_matches_pairwise_reference(self, n):
+        # the old per-pair loop: (A_a ± A_b)/√2 against Bob's column (a,b)
+        for s in near_optimal_variants(n):
+            mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+            ref = 0.0
+            for t, (a, b) in enumerate(chshn_pair_order(n)):
+                if a < b:
+                    comb = (s.alice[a - 1].matrix + s.alice[b - 1].matrix) / RT2
+                else:
+                    comb = (s.alice[b - 1].matrix - s.alice[a - 1].matrix) / RT2
+                ref = max(ref, frobenius(comb @ mpsi - mpsi @ s.bob[t].matrix.T))
+            got = verify_optimal_form(s, n).b_block_relation
+            assert ref > 1e-3
+            assert abs(got - ref) <= 1e-12
+
+
+class TestIntertwinerSweep:
+    def test_cells_in_grid_order_match_single_reports(self):
+        cells = list(intertwiner_sweep([3, 2], [0.0, 0.05], [1, 0]))
+        assert [c[:3] for c in cells] == list(itertools.product([3, 2], [0.0, 0.05], [1, 0]))
+        for n, theta, seed, rep in cells:
+            g, _ = chsh_game(n)
+            want = intertwiner_report(g, perturb(canonical_chshn(n), theta, seed), n)
+            assert rep.alice_residuals == want.alice_residuals
+            assert rep.bob_residuals == want.bob_residuals
+            assert rep.epsilon == want.epsilon
+
+    def test_builds_game_and_base_once_per_n(self, monkeypatch):
+        games, bases = [], []
+        real_game, real_perturb = structure.chsh_game, structure.perturb
+        monkeypatch.setattr(structure, "chsh_game", lambda n: games.append(n) or real_game(n))
+        monkeypatch.setattr(
+            structure, "perturb", lambda s, *a: bases.append((len(s.alice), id(s))) or real_perturb(s, *a)
+        )
+        cells = list(intertwiner_sweep([2, 3], [0.0, 0.01, 0.05], [0, 1]))
+        assert len(cells) == len(bases) == 12
+        assert games == [2, 3]
+        assert len(set(bases)) == 2
+
+    @pytest.mark.parametrize(
+        "grid", [([], [0.0], [0]), ([2], [], [0]), ([2], [0.0], [])], ids=["n", "theta", "seed"]
+    )
+    def test_empty_axis_raises(self, grid):
+        with pytest.raises(ValueError, match="empty"):
+            list(intertwiner_sweep(*grid))
+
+    def test_bad_cell_raises(self):
+        with pytest.raises(ValueError, match="theta"):
+            list(intertwiner_sweep([2], [-0.1], [0]))
+        with pytest.raises(InvalidN):
+            list(intertwiner_sweep([1], [0.0], [0]))
