@@ -3,8 +3,12 @@
 One binary, seven subcommand families: game, solve, relations, strategy,
 structure, intertwiner, sweep.  Artifact-producing commands print the
 artifact JSON to standard output, or write it to --out and print a run
-report instead; checking commands always print a run report.  Exit codes:
-0 success, 2 verification failure, 1 usage or input error.
+report instead; checking commands always print a run report.  Outputs
+that mirror a library report dataclass (`solve`, `structure verify`,
+`intertwiner report`) go through the one report encoder,
+`serialize.report_to_dict`.  Exit codes: 0 success, 2 verification
+failure, 1 usage or input error (including unreadable input and unwritable
+output files).
 """
 from __future__ import annotations
 
@@ -41,162 +45,103 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-class InputError(Exception):
-    """Unreadable or malformed input; mapped to exit 1."""
-
-
-def _read(path: str):
+def _load(path: str, from_dict, inputs: dict):
+    """Parse a JSON input file with from_dict and record its sha256 in
+    inputs; an error from from_dict names the file."""
+    raw = serialize.read_json(path)
+    inputs[path] = serialize.sha256_digest(path)
     try:
-        return serialize.read_json(path)
-    except (OSError, serialize.FileFormatError) as exc:
-        raise InputError(str(exc))
-
-
-def _digest(path: str) -> str:
-    try:
-        return serialize.sha256_digest(path)
-    except OSError as exc:
-        raise InputError(str(exc))
-
-
-def _load_game(path: str):
-    try:
-        return serialize.game_from_dict(_read(path))
+        return from_dict(raw)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
-
-
-def _load_strategy(path: str):
-    try:
-        return serialize.strategy_from_dict(_read(path))
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _print(data) -> None:
     sys.stdout.write(serialize.dumps(data))
 
 
-def _report(command: str, inputs: dict, outputs: dict, t0: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "wall_time": serialize.jfloat(time.perf_counter() - t0),
-    }
-
-
-def _emit_artifact(data, args, command: str, inputs: dict, t0: float) -> None:
-    if getattr(args, "out", None):
+def _artifact(data, args) -> dict | None:
+    """Write data to --out and return the run report's outputs, or print it
+    and return None (no run report)."""
+    if args.out:
         serialize.write_json(data, args.out)
-        _print(_report(command, inputs, {"written": args.out}, t0))
-    else:
-        _print(data)
+        return {"written": args.out}
+    _print(data)
+    return None
 
+
+# Each command takes (args, inputs) and returns (outputs, exit code); main
+# prints the run report unless outputs is None.
 
 # ---------------------------------------------------------------- game
 
 
-def _cmd_game_chsh(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_game_chsh(args, inputs):
     g, _ = chsh_game(args.n)
-    _emit_artifact(serialize.game_to_dict(g), args, "game chsh", {}, t0)
-    return EXIT_OK
+    return _artifact(serialize.game_to_dict(g), args), EXIT_OK
 
 
-def _cmd_game_check(args) -> int:
-    t0 = time.perf_counter()
-    raw = _read(args.file)
-    inputs = {args.file: _digest(args.file)}
+def _cmd_game_check(args, inputs):
+    # a malformed game is this command's verdict (exit 2), not an input error
+    raw = serialize.read_json(args.file)
+    inputs[args.file] = serialize.sha256_digest(args.file)
     try:
         g = serialize.game_from_dict(raw)
     except ValueError as exc:
-        _print(_report("game check", inputs, {"valid": False, "error": str(exc)}, t0))
-        return EXIT_VERIFY
+        return {"valid": False, "error": str(exc)}, EXIT_VERIFY
     outputs = {
         "valid": True,
         "n_alice": g.n_alice,
         "n_bob": g.n_bob,
         "abs_sum": serialize.jfloat(np.abs(g.matrix).sum()),
     }
-    _print(_report("game check", inputs, outputs, t0))
-    return EXIT_OK
+    return outputs, EXIT_OK
 
 
 # ---------------------------------------------------------------- solve
 
 
-def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    inputs = {args.game: _digest(args.game)}
+def _cmd_solve(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
     try:
         sol = solve(symmetrize(g), args.tol)
     except MaxIterations as exc:
         sol = exc.solution
-    except ValueError as exc:
-        raise InputError(str(exc))
     if args.dump_z:
         serialize.write_json(serialize.matrix_to_dict(sol.z), args.dump_z)
     if args.dump_y:
         serialize.write_json(serialize.y_to_dict(sol.y), args.dump_y)
     if args.out:
         serialize.write_json(serialize.solution_to_dict(sol), args.out)
-    outputs = {
-        "primal_value": serialize.jfloat(sol.primal_value),
-        "dual_value": serialize.jfloat(sol.dual_value),
-        "gap": serialize.jfloat(sol.gap),
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-    }
-    _print(_report("solve", inputs, outputs, t0))
-    return EXIT_OK if sol.converged else EXIT_VERIFY
+    outputs = serialize.report_to_dict(sol, omit=("z", "y"))
+    return outputs, EXIT_OK if sol.converged else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- relations
 
 
-def _cmd_relations_extract(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    y = serialize.y_from_dict(_read(args.yfile))
-    inputs = {args.game: _digest(args.game), args.yfile: _digest(args.yfile)}
+def _cmd_relations_extract(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
+    y = _load(args.yfile, serialize.y_from_dict, inputs)
     try:
         rel = extract_relations(g, y, args.cutoff)
     except DualInfeasible as exc:
-        _print(_report("relations extract", inputs, {"error": str(exc)}, t0))
-        return EXIT_VERIFY
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit_artifact(serialize.relations_to_dict(rel), args, "relations extract", inputs, t0)
-    return EXIT_OK
+        return {"error": str(exc)}, EXIT_VERIFY
+    return _artifact(serialize.relations_to_dict(rel), args), EXIT_OK
 
 
-def _cmd_relations_chshn(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_relations_chshn(args, inputs):
     form = chshn_relations_form1 if args.form == 1 else chshn_relations_form2
-    try:
-        rel = form(args.n)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit_artifact(serialize.relations_to_dict(rel), args, "relations chshn", {}, t0)
-    return EXIT_OK
+    return _artifact(serialize.relations_to_dict(form(args.n)), args), EXIT_OK
 
 
-def _cmd_relations_residual(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    s = _load_strategy(args.strategy)
-    rel = serialize.relations_from_dict(_read(args.relations), g.n_alice, g.n_bob)
-    inputs = {
-        args.game: _digest(args.game),
-        args.strategy: _digest(args.strategy),
-        args.relations: _digest(args.relations),
-    }
-    try:
-        lhs, rhs, ok = check_identity(g, s, rel)
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_relations_residual(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    rel = _load(
+        args.relations, lambda d: serialize.relations_from_dict(d, g.n_alice, g.n_bob), inputs
+    )
+    lhs, rhs, ok = check_identity(g, s, rel)
     outputs = {
         "residual": serialize.jfloat(lhs),
         "sum_y": serialize.jfloat(rel.y.sum()),
@@ -204,128 +149,71 @@ def _cmd_relations_residual(args) -> int:
         "identity_gap": serialize.jfloat(lhs - rhs),
         "identity_ok": bool(ok),
     }
-    _print(_report("relations residual", inputs, outputs, t0))
-    return EXIT_OK if ok else EXIT_VERIFY
+    return outputs, EXIT_OK if ok else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- strategy
 
 
-def _cmd_strategy_canonical(args) -> int:
-    t0 = time.perf_counter()
-    try:
-        s = canonical_chshn(args.n)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit_artifact(serialize.strategy_to_dict(s), args, "strategy canonical", {}, t0)
-    return EXIT_OK
+def _cmd_strategy_canonical(args, inputs):
+    return _artifact(serialize.strategy_to_dict(canonical_chshn(args.n)), args), EXIT_OK
 
 
-def _cmd_strategy_tsirelson(args) -> int:
-    t0 = time.perf_counter()
-    zm = serialize.matrix_from_dict(_read(args.z))
-    inputs = {args.z: _digest(args.z)}
+def _cmd_strategy_tsirelson(args, inputs):
+    zm = _load(args.z, serialize.matrix_from_dict, inputs)
     if np.abs(zm.imag).max() > 1e-9:
-        raise InputError(f"{args.z}: correlation matrix must be real")
-    try:
-        s = tsirelson_strategy(zm.real, args.n, args.m)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit_artifact(serialize.strategy_to_dict(s), args, "strategy tsirelson", inputs, t0)
-    return EXIT_OK
+        raise ValueError(f"{args.z}: correlation matrix must be real")
+    s = tsirelson_strategy(zm.real, args.n, args.m)
+    return _artifact(serialize.strategy_to_dict(s), args), EXIT_OK
 
 
-def _cmd_strategy_bias(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    s = _load_strategy(args.strategy)
-    inputs = {args.game: _digest(args.game), args.strategy: _digest(args.strategy)}
-    try:
-        b = bias(g, s)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _print(_report("strategy bias", inputs, {"bias": serialize.jfloat(b)}, t0))
-    return EXIT_OK
+def _cmd_strategy_bias(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    return {"bias": serialize.jfloat(bias(g, s))}, EXIT_OK
 
 
-def _cmd_strategy_simulate(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    s = _load_strategy(args.strategy)
-    inputs = {args.game: _digest(args.game), args.strategy: _digest(args.strategy)}
-    try:
-        mean, stderr = simulate(g, s, args.rounds, args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc))
+def _cmd_strategy_simulate(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    mean, stderr = simulate(g, s, args.rounds, args.seed)
     outputs = {
         "empirical_bias": serialize.jfloat(mean),
         "stderr": serialize.jfloat(stderr),
         "rounds": args.rounds,
         "seed": args.seed,
     }
-    _print(_report("strategy simulate", inputs, outputs, t0))
-    return EXIT_OK
+    return outputs, EXIT_OK
 
 
-def _cmd_strategy_perturb(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_strategy(args.strategy)
-    inputs = {args.strategy: _digest(args.strategy)}
-    try:
-        out = perturb(s, args.theta, args.seed, include_bob=args.include_bob)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    _emit_artifact(serialize.strategy_to_dict(out), args, "strategy perturb", inputs, t0)
-    return EXIT_OK
+def _cmd_strategy_perturb(args, inputs):
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    out = perturb(s, args.theta, args.seed, include_bob=args.include_bob)
+    return _artifact(serialize.strategy_to_dict(out), args), EXIT_OK
 
 
 # ---------------------------------------------------------------- structure
 
 
-def _cmd_structure_verify(args) -> int:
-    t0 = time.perf_counter()
-    s = _load_strategy(args.strategy)
-    inputs = {args.strategy: _digest(args.strategy)}
-    try:
-        rep = verify_optimal_form(s, args.n, args.tol)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    outputs = {
-        "schmidt_rank": rep.schmidt_rank,
-        "block_size": rep.block_size,
-        "rank_divisible": rep.rank_divisible,
-        "blocks_equal": rep.blocks_equal,
-        "blocks_max_deviation": serialize.jfloat(rep.blocks_max_deviation),
-        "support_invariant_A": serialize.jfloat(rep.support_invariant_A),
-        "support_invariant_B": serialize.jfloat(rep.support_invariant_B),
-        "anticommute_on_support": serialize.jfloat(rep.anticommute_on_support),
-        "b_block_relation": serialize.jfloat(rep.b_block_relation),
-        "verdict": rep.verdict,
-    }
-    _print(_report("structure verify", inputs, outputs, t0))
-    return EXIT_OK if rep.verdict else EXIT_VERIFY
+def _cmd_structure_verify(args, inputs):
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    rep = verify_optimal_form(s, args.n, args.tol)
+    return serialize.report_to_dict(rep), EXIT_OK if rep.verdict else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- intertwiner
 
 
-def _cmd_intertwiner_report(args) -> int:
-    t0 = time.perf_counter()
-    g = _load_game(args.game)
-    s = _load_strategy(args.strategy)
-    inputs = {args.game: _digest(args.game), args.strategy: _digest(args.strategy)}
-    try:
-        rep = intertwiner_report(g, s, args.n)
-    except ValueError as exc:
-        raise InputError(str(exc))
-    full = serialize.intertwiner_report_to_dict(rep)
+def _cmd_intertwiner_report(args, inputs):
+    g = _load(args.game, serialize.game_from_dict, inputs)
+    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    rep = intertwiner_report(g, s, args.n)
+    # T is d_A·d_B × d², so it is encoded only for the file
+    outputs = serialize.report_to_dict(rep, omit=("t",))
     if args.out:
-        serialize.write_json(full, args.out)
-    outputs = {k: v for k, v in full.items() if k != "t"}
-    if args.out:
+        serialize.write_json(serialize.report_to_dict(rep), args.out)
         outputs["written"] = args.out
-    _print(_report("intertwiner report", inputs, outputs, t0))
-    return EXIT_OK if rep.bounds_hold else EXIT_VERIFY
+    return outputs, EXIT_OK if rep.bounds_hold else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- sweep
@@ -335,10 +223,10 @@ def _parse_list(text: str, conv, flag: str):
     try:
         return [conv(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise InputError(f"cannot parse {flag} list: {text!r}")
+        raise ValueError(f"cannot parse {flag} list: {text!r}") from None
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args, inputs):
     ns = _parse_list(args.n_values, int, "--n-values")
     thetas = _parse_list(args.thetas, float, "--thetas")
     seeds = _parse_list(args.seeds, int, "--seeds")
@@ -352,7 +240,7 @@ def _cmd_sweep(args) -> int:
             fh.writelines(lines)
     else:
         sys.stdout.writelines(lines)
-    return EXIT_OK if all_hold else EXIT_VERIFY
+    return None, EXIT_OK if all_hold else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------- wiring
@@ -461,16 +349,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
+    t0 = time.perf_counter()
+    inputs: dict[str, str] = {}
     try:
-        return args.func(args)
-    except InputError as exc:
+        outputs, code = args.func(args, inputs)
+        if outputs is not None:
+            _print({
+                "command": " ".join(filter(None, (args.command, getattr(args, "subcommand", None)))),
+                "inputs": inputs,
+                "outputs": outputs,
+                "wall_time": serialize.jfloat(time.perf_counter() - t0),
+            })
+    except (OSError, ValueError) as exc:
+        # unreadable or unwritable files, and the domain errors (InvalidN,
+        # NotNormalized, DimensionMismatch, ...), which are all ValueError
+        # subclasses and signal bad input
         sys.stderr.write(f"xorgame: error: {exc}\n")
         return EXIT_USAGE
-    except ValueError as exc:
-        # domain errors (InvalidN, NotNormalized, DimensionMismatch, ...)
-        # are all ValueError subclasses and signal bad input
-        sys.stderr.write(f"xorgame: error: {exc}\n")
-        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ sweep is CSV with the SWEEP_COLUMNS header.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -160,17 +161,25 @@ def y_from_dict(d) -> np.ndarray:
         raise FileFormatError(f"y file must have a 'y' list: {exc}")
 
 
-def intertwiner_report_to_dict(rep: IntertwinerReport) -> dict:
+def report_to_dict(rep, omit=()) -> dict:
+    """A report dataclass as a JSON object, fields in declaration order and
+    those named in omit left out: floats at 12 significant digits, float
+    tuples as lists, matrices through matrix_to_dict, ints and bools as is."""
     return {
-        "t": matrix_to_dict(rep.t),
-        "frob_norm": jfloat(rep.frob_norm),
-        "alice_residuals": [jfloat(x) for x in rep.alice_residuals],
-        "bob_residuals": [jfloat(x) for x in rep.bob_residuals],
-        "epsilon": jfloat(rep.epsilon),
-        "alice_bound": jfloat(rep.alice_bound),
-        "bob_bound": jfloat(rep.bob_bound),
-        "bounds_hold": bool(rep.bounds_hold),
+        f.name: _report_field(getattr(rep, f.name))
+        for f in dataclasses.fields(rep)
+        if f.name not in omit
     }
+
+
+def _report_field(v):
+    if isinstance(v, np.ndarray):
+        return matrix_to_dict(v)
+    if isinstance(v, tuple):
+        return [jfloat(x) for x in v]
+    if isinstance(v, int):  # bool is an int
+        return v
+    return jfloat(v)
 
 
 SWEEP_COLUMNS = (

@@ -145,10 +145,14 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     ε is the bias deficit relative to 1/√2; residuals are compared against
     12n²√ε (Alice) and 17n²√ε (Bob) with a 1e-12 floating-point margin.
     """
+    return _intertwiner_report(g, s, n, canonical_chshn(n))
+
+
+def _intertwiner_report(g: XorGame, s: Strategy, n: int, ref: Strategy) -> IntertwinerReport:
+    """intertwiner_report against ref, the caller's canonical_chshn(n)."""
     want_bob = n * (n - 1)
     if len(s.bob) != want_bob:
         raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {want_bob}")
-    ref = canonical_chshn(n)
     t = _intertwiner(s, n, ref)
     d = ref.d_A
     eps = max(0.0, 1.0 - bias(g, s) / TSIRELSON_BIAS)
@@ -198,7 +202,8 @@ def intertwiner_sweep(
     """(n, θ, seed, report) for the canonical CHSH(n) strategy perturbed by
     θ with that seed, over the grid n_values × thetas × seeds in that order.
 
-    The game and the canonical strategy are built once per n.  An empty axis
+    The game and the canonical strategy, which is both the perturbed base
+    and the intertwiner's reference, are built once per n.  An empty axis
     raises ValueError: a sweep without cells checks no bound.
     """
     if not (n_values and thetas and seeds):
@@ -208,7 +213,7 @@ def intertwiner_sweep(
         base = canonical_chshn(n)
         for theta in thetas:
             for seed in seeds:
-                yield n, theta, seed, intertwiner_report(g, perturb(base, theta, seed), n)
+                yield n, theta, seed, _intertwiner_report(g, perturb(base, theta, seed), n, base)
 
 
 def anticommutation_residual(s: Strategy, n: int) -> float:

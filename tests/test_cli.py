@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 
@@ -9,7 +11,7 @@ import xorgame.cli as cli
 from xorgame import serialize as sz
 from xorgame.games import symmetrize
 from xorgame.sdp import solve
-from xorgame.structure import IntertwinerReport
+from xorgame.structure import IntertwinerReport, StructureReport, verify_optimal_form
 
 RT2 = np.sqrt(2.0)
 
@@ -367,3 +369,116 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run(capsys, "strategy", "canonical")
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def chsh2(tmp_path_factory):
+    """CHSH(2) artifacts written by the CLI: game, canonical strategy, dual y,
+    correlation matrix z and extracted relations."""
+    d = tmp_path_factory.mktemp("chsh2")
+    f = {k: str(d / f"{k}.json") for k in ("g", "can", "y", "z", "rel")}
+    for argv in (
+        ["game", "chsh", "--n", "2", "--out", f["g"]],
+        ["strategy", "canonical", "--n", "2", "--out", f["can"]],
+        ["solve", f["g"], "--dump-y", f["y"], "--dump-z", f["z"]],
+        ["relations", "extract", f["g"], f["y"], "--out", f["rel"]],
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    f["dir"] = str(d)
+    return f
+
+
+REPORT_COMMANDS = [
+    ("game chsh", ["game", "chsh", "--n", "2", "--out", "{dir}/out.json"]),
+    ("game check", ["game", "check", "{g}"]),
+    ("solve", ["solve", "{g}"]),
+    ("relations extract", ["relations", "extract", "{g}", "{y}", "--out", "{dir}/out.json"]),
+    ("relations chshn", ["relations", "chshn", "--n", "2", "--form", "1", "--out", "{dir}/out.json"]),
+    ("relations residual", ["relations", "residual", "{g}", "{can}", "{rel}"]),
+    ("strategy canonical", ["strategy", "canonical", "--n", "2", "--out", "{dir}/out.json"]),
+    ("strategy tsirelson", ["strategy", "tsirelson", "--z", "{z}", "--n", "2", "--m", "2",
+                            "--out", "{dir}/out.json"]),
+    ("strategy bias", ["strategy", "bias", "{g}", "{can}"]),
+    ("strategy simulate", ["strategy", "simulate", "{g}", "{can}", "--rounds", "100", "--seed", "0"]),
+    ("strategy perturb", ["strategy", "perturb", "{can}", "--theta", "0.1", "--seed", "0",
+                          "--out", "{dir}/out.json"]),
+    ("structure verify", ["structure", "verify", "{can}", "--n", "2"]),
+    ("intertwiner report", ["intertwiner", "report", "{g}", "{can}", "--n", "2"]),
+]
+
+
+class TestRunReports:
+    @pytest.mark.parametrize("command,argv", REPORT_COMMANDS, ids=[c for c, _ in REPORT_COMMANDS])
+    def test_command_field(self, capsys, chsh2, command, argv):
+        code, rep, _ = run_json(capsys, *(a.format(**chsh2) for a in argv))
+        assert code == 0
+        assert rep["command"] == command
+        assert list(rep) == ["command", "inputs", "outputs", "wall_time"]
+
+    def test_intertwiner_outputs_without_out_match_the_file(self, capsys, chsh2, tmp_path):
+        p = str(tmp_path / "p.json")
+        out = str(tmp_path / "itw.json")
+        run(capsys, "strategy", "perturb", chsh2["can"], "--theta", "0.05", "--seed", "1", "--out", p)
+        argv = ("intertwiner", "report", chsh2["g"], p, "--n", "2")
+        code, bare, _ = run_json(capsys, *argv)
+        code2, written, _ = run_json(capsys, *argv, "--out", out)
+        assert code == code2 == 0
+        assert written["outputs"].pop("written") == out
+        assert bare["outputs"] == written["outputs"]
+        full = sz.read_json(out)
+        assert list(full) == [
+            "t", "frob_norm", "alice_residuals", "bob_residuals",
+            "epsilon", "alice_bound", "bob_bound", "bounds_hold",
+        ]
+        assert {k: v for k, v in full.items() if k != "t"} == bare["outputs"]
+
+    def test_structure_verify_outputs_are_the_report_fields(self, capsys, chsh2):
+        code, rep, _ = run_json(capsys, "structure", "verify", chsh2["can"], "--n", "2")
+        assert code == 0
+        want = verify_optimal_form(sz.strategy_from_dict(sz.read_json(chsh2["can"])), 2)
+        assert list(rep["outputs"]) == [f.name for f in dataclasses.fields(StructureReport)]
+        for name, value in rep["outputs"].items():
+            expected = getattr(want, name)
+            assert value == (sz.jfloat(expected) if isinstance(expected, float) else expected)
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "chsh", "--n", "2", "--out", "{bad}"],
+            ["solve", "{g}", "--dump-z", "{bad}"],
+            ["solve", "{g}", "--dump-y", "{bad}"],
+            ["solve", "{g}", "--out", "{bad}"],
+            ["intertwiner", "report", "{g}", "{can}", "--n", "2", "--out", "{bad}"],
+            ["sweep", "--n-values", "2", "--thetas", "0", "--seeds", "0", "--out", "{bad}"],
+        ],
+        ids=["game-chsh", "solve-dump-z", "solve-dump-y", "solve-out", "intertwiner", "sweep"],
+    )
+    def test_unwritable_out_is_a_one_line_error(self, capsys, chsh2, tmp_path, argv):
+        bad = str(tmp_path / "no-such-dir" / "out")
+        code, out, err = run(capsys, *(a.format(bad=bad, **chsh2) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("xorgame: error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestMalformedInputNamesTheFile:
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["relations", "extract", "{g}", "{bad}"], {"x": [1.0]}),
+            (["strategy", "tsirelson", "--z", "{bad}", "--n", "1", "--m", "1"], {"rows": 2, "cols": 2}),
+            (["relations", "residual", "{g}", "{can}", "{bad}"], {"y": [1.0]}),
+        ],
+        ids=["y", "z", "relations"],
+    )
+    def test_error_names_the_file(self, capsys, chsh2, tmp_path, argv, doc):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(a.format(bad=str(bad), **chsh2) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"xorgame: error: {bad}: ")

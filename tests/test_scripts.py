@@ -41,6 +41,16 @@ def test_bias_table_marks_refused_enumeration(capsys, monkeypatch):
     assert "(skipped)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["--n-min", "1"], ["--tol", "0.5"], ["--bogus"]],
+                         ids=["n1", "bad-tol", "unknown-flag"])
+def test_bias_table_input_errors_exit_1(capsys, argv):
+    bias_table = _load("bias_table")
+    assert bias_table.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "Traceback" not in err
+
+
 def test_bound_sweep_writes_csv(tmp_path, capsys):
     bound_sweep = _load("bound_sweep")
     out = tmp_path / "sweep.csv"
@@ -87,13 +97,14 @@ def test_bound_sweep_input_errors_exit_1_like_the_cli(tmp_path, capsys, argv):
 
 
 def test_bound_sweep_failed_bound_exits_2_like_the_cli(capsys, monkeypatch):
-    # valid strategies meet the bounds, so mark the reports as failing directly
-    real = structure.intertwiner_report
+    # valid strategies meet the bounds, so mark the reports as failing
+    # directly, in the report function the sweep engine calls
+    real = structure._intertwiner_report
 
     def failing(*a, **k):
         return dataclasses.replace(real(*a, **k), bounds_hold=False)
 
-    monkeypatch.setattr(structure, "intertwiner_report", failing)
+    monkeypatch.setattr(structure, "_intertwiner_report", failing)
     bound_sweep = _load("bound_sweep")
     argv = ["--n-values", "2", "--thetas", "0.05", "--seeds", "0"]
     assert bound_sweep.main(argv) == 2

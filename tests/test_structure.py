@@ -466,9 +466,13 @@ class TestIntertwinerSweep:
             assert rep.epsilon == want.epsilon
 
     def test_builds_game_and_base_once_per_n(self, monkeypatch):
-        games, bases = [], []
+        games, bases, canonicals = [], [], []
         real_game, real_perturb = structure.chsh_game, structure.perturb
+        real_canonical = structure.canonical_chshn
         monkeypatch.setattr(structure, "chsh_game", lambda n: games.append(n) or real_game(n))
+        monkeypatch.setattr(
+            structure, "canonical_chshn", lambda n: canonicals.append(n) or real_canonical(n)
+        )
         monkeypatch.setattr(
             structure, "perturb", lambda s, *a: bases.append((len(s.alice), id(s))) or real_perturb(s, *a)
         )
@@ -476,6 +480,8 @@ class TestIntertwinerSweep:
         assert len(cells) == len(bases) == 12
         assert games == [2, 3]
         assert len(set(bases)) == 2
+        # the base is also the intertwiner's reference: no rebuild per cell
+        assert canonicals == [2, 3]
 
     @pytest.mark.parametrize(
         "grid", [([], [0.0], [0]), ([2], [], [0]), ([2], [0.0], [])], ids=["n", "theta", "seed"]
