@@ -82,11 +82,14 @@ def _cmd_game_chsh(args, inputs):
 
 
 def _cmd_game_check(args, inputs):
-    # a malformed game is this command's verdict (exit 2), not an input error
+    # an invalid game (normalization, non-finite entries) is this command's
+    # verdict (exit 2); a file that is not a game document is an input error
     raw = serialize.read_json(args.file)
     inputs[args.file] = serialize.sha256_digest(args.file)
     try:
         g = serialize.game_from_dict(raw)
+    except serialize.FileFormatError as exc:
+        raise ValueError(f"{args.file}: {exc}") from exc
     except ValueError as exc:
         return {"valid": False, "error": str(exc)}, EXIT_VERIFY
     outputs = {

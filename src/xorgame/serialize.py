@@ -5,12 +5,23 @@ round-trip exactly through doubles, re-serializing a loaded file reproduces
 it byte for byte.  Complex numbers are [re, im] pairs; matrices are
 {"rows", "cols", "entries"} with row-major entries.  The residual-vs-bound
 sweep is CSV with the SWEEP_COLUMNS header.
+
+`dumps` (and `write_json`) is the one JSON writer: it gives exactly the
+bytes of `json.dumps(data, indent=2) + "\\n"`.  The `*_to_dict` encoders keep
+matrix entries and states as (N, 2) float arrays of [re, im] rows, which
+the writer emits as the lists json.dumps would write for their `jfloat`
+values, from '%.12g' template fills with no per-pair Python objects.  The
+readers take entries with one `np.array` conversion and a shape check, and
+raise FileFormatError on any field of the wrong type or shape.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -22,7 +33,8 @@ from .structure import IntertwinerReport
 
 
 class FileFormatError(ValueError):
-    """Input file is not valid JSON or misses required fields."""
+    """Input file is not valid JSON, misses required fields or has a field
+    of the wrong type or shape."""
 
 
 def jfloat(x) -> float:
@@ -30,37 +42,52 @@ def jfloat(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def jcomplex(z) -> list[float]:
-    z = complex(z)
-    return [jfloat(z.real), jfloat(z.imag)]
+def _pair_rows(z) -> np.ndarray:
+    """Complex values, flattened row-major, as a fresh (N, 2) float array of [re, im] rows."""
+    return np.array(z, dtype=complex).reshape(-1).view(float).reshape(-1, 2)
 
 
-def _parse_complex(v) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2):
-        raise FileFormatError(f"complex entries must be [re, im] pairs, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+def _floats(values, what: str) -> np.ndarray:
+    """Nested lists of numbers as a float array, converting each number as
+    float() does; FileFormatError for anything float() refuses, null included."""
+    try:
+        a = np.array(values, dtype=float, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise FileFormatError(f"{what} must hold numbers: {exc}") from None
+    # numpy turns null into NaN, which float(None) refuses
+    if np.isnan(a).any() and _holds_none(values):
+        raise FileFormatError(f"{what} must hold numbers, got null")
+    return a
+
+
+def _holds_none(v) -> bool:
+    return v is None or (isinstance(v, (list, tuple)) and any(map(_holds_none, v)))
+
+
+def _complex_vector(pairs, what: str) -> np.ndarray:
+    """A list of [re, im] pairs as a complex vector, bit for bit."""
+    a = _floats(pairs, what)
+    if a.shape == (0,):
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise FileFormatError(f"{what} must be a list of [re, im] pairs, got shape {a.shape}")
+    return a.view(complex).reshape(-1)
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=complex)
     rows, cols = m.shape
-    return {
-        "rows": rows,
-        "cols": cols,
-        "entries": [jcomplex(z) for z in m.reshape(-1)],
-    }
+    return {"rows": rows, "cols": cols, "entries": _pair_rows(m)}
 
 
 def matrix_from_dict(d) -> np.ndarray:
     try:
         rows, cols, entries = int(d["rows"]), int(d["cols"]), d["entries"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"matrix object must have rows/cols/entries: {exc}")
-    if len(entries) != rows * cols:
-        raise FileFormatError(
-            f"matrix has {len(entries)} entries, expected {rows}*{cols}"
-        )
-    flat = np.array([_parse_complex(v) for v in entries], dtype=complex)
+    flat = _complex_vector(entries, "matrix entries")
+    if rows < 0 or cols < 0 or flat.size != rows * cols:
+        raise FileFormatError(f"matrix has {flat.size} entries, expected {rows}*{cols}")
     return flat.reshape(rows, cols)
 
 
@@ -81,13 +108,14 @@ def game_to_dict(g: XorGame) -> dict:
 def game_from_dict(d) -> XorGame:
     try:
         n, m, flat = int(d["n_alice"]), int(d["n_bob"]), d["matrix"]
-    except (KeyError, TypeError) as exc:
+        labels = d.get("labels")
+        labels = tuple(labels) if labels is not None else None
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"game file must have n_alice/n_bob/matrix: {exc}")
-    if len(flat) != n * m:
-        raise FileFormatError(f"game matrix has {len(flat)} entries, expected {n}*{m}")
-    matrix = np.array([float(x) for x in flat], dtype=float).reshape(n, m)
-    labels = d.get("labels")
-    return new_game(matrix, labels=tuple(labels) if labels is not None else None)
+    matrix = _floats(flat, "game matrix")
+    if matrix.shape != (n * m,):
+        raise FileFormatError(f"game matrix must be a list of {n}*{m} numbers, got shape {matrix.shape}")
+    return new_game(matrix.reshape(n, m), labels=labels)
 
 
 def strategy_to_dict(s: Strategy) -> dict:
@@ -96,22 +124,22 @@ def strategy_to_dict(s: Strategy) -> dict:
         "d_B": s.d_B,
         "alice": [matrix_to_dict(o.matrix) for o in s.alice],
         "bob": [matrix_to_dict(o.matrix) for o in s.bob],
-        "state": [jcomplex(z) for z in s.state],
+        "state": _pair_rows(s.state),
     }
 
 
 def strategy_from_dict(d) -> Strategy:
     try:
         d_a, d_b = int(d["d_A"]), int(d["d_B"])
-        alice, bob, state = d["alice"], d["bob"], d["state"]
-    except (KeyError, TypeError) as exc:
+        alice, bob, state = list(d["alice"]), list(d["bob"]), d["state"]
+    except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"strategy file must have d_A/d_B/alice/bob/state: {exc}")
     return Strategy(
         d_a,
         d_b,
         tuple(Observable(matrix_from_dict(m)) for m in alice),
         tuple(Observable(matrix_from_dict(m)) for m in bob),
-        np.array([_parse_complex(v) for v in state], dtype=complex),
+        _complex_vector(state, "strategy state"),
     )
 
 
@@ -203,12 +231,142 @@ def sweep_row(n: int, theta: float, seed: int, rep: IntertwinerReport) -> str:
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    """data as JSON text: exactly json.dumps(data, indent=2) + "\\n".
+
+    data holds JSON values (dict keys are strings) and 2-D float arrays; an
+    array is written as json.dumps writes the list of its rows with every
+    value passed through jfloat.
+    """
+    return "".join(_chunks(data))
 
 
 def write_json(data, path: str) -> None:
+    """Write dumps(data) to path."""
+    chunks = _chunks(data)
     with open(path, "w") as fh:
-        fh.write(dumps(data))
+        fh.writelines(chunks)
+
+
+def _chunks(data) -> list[str]:
+    out: list[str] = []
+    _encode(data, "\n", out)
+    out.append("\n")
+    return out
+
+
+def _encode(v, nl: str, out: list) -> None:
+    """Append v to out as json.dumps(indent=2) writes it at the depth whose
+    line break and indentation is nl."""
+    if isinstance(v, str):
+        out.append(encode_basestring_ascii(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    elif isinstance(v, int):
+        out.append(int.__repr__(v))
+    elif isinstance(v, float):
+        out.append(_floatstr(v))
+    elif isinstance(v, (list, tuple)):
+        inner = nl + "  "
+        if not v:
+            out.append("[]")
+        elif set(map(type, v)) == {float} and all(map(math.isfinite, v)):
+            out += ("[", inner, ("," + inner).join(map(float.__repr__, v)), nl, "]")
+        else:
+            sep = "[" + inner
+            for x in v:
+                out.append(sep)
+                _encode(x, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif isinstance(v, dict):
+        inner = nl + "  "
+        if not v:
+            out.append("{}")
+        else:
+            sep = "{" + inner
+            for k, x in v.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                out += (sep, encode_basestring_ascii(k), ": ")
+                _encode(x, inner, out)
+                sep = "," + inner
+            out.append(nl + "}")
+    elif isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == float:
+        if v.size:
+            _rows(v, nl, out)
+        else:
+            _encode(v.tolist(), nl, out)
+    else:
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _floatstr(x: float) -> str:
+    """x as json.dumps spells a float."""
+    if x != x:
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# Rows per template fill: bounds the writer's temporaries to about a MB.
+ROWS_PER_FILL = 4096
+
+
+def _rows(a: np.ndarray, nl: str, out: list) -> None:
+    """Append the 2-D float array a to out as json.dumps(indent=2) writes
+    the list of its rows with every value passed through jfloat, at the
+    depth whose line break and indentation is nl."""
+    inner = nl + "  "
+    out.append("[" + inner)
+    for start in range(0, a.shape[0], ROWS_PER_FILL):
+        if start:
+            out.append("," + inner)
+        out.append(_fill_rows(a[start:start + ROWS_PER_FILL], inner))
+    out.append(nl + "]")
+
+
+def _fill_rows(a: np.ndarray, inner: str) -> str:
+    """The rows of a, each written as a list of jfloat values at the depth
+    whose line break and indentation is inner, separated by commas.
+
+    A template with one '%.12g' slot per value is filled in one formatting
+    call.  For a normal double whose 12-digit rounding is neither an integer
+    (which repr ends in '.0') nor of magnitude in [1e12, 1e16) (which repr
+    writes positionally), those digits are exactly repr(jfloat(v)): both are
+    the one decimal of at most 12 significant digits that names jfloat(v).
+    The slots of the values that may fall outside that are replaced by their
+    spelling before the fill: zeros and subnormals (below 1e-307), NaN,
+    infinities, and values within 2e-11 relative of an integer.  A 12-digit
+    rounding moves a value by at most 5e-12 relative, so the last class holds
+    every value that rounds to an integer, every magnitude above 2.5e10
+    included.
+    """
+    item = inner + "  "
+    slot = "%.12g"
+    rows, cols = a.shape
+    row = "[" + item + ("," + item).join([slot] * cols) + inner + "]"
+    template = ("," + inner).join(itertools.repeat(row, rows))
+    x = a.reshape(-1)
+    mag = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        direct = (mag >= 1e-307) & (np.abs(x - np.rint(x)) > 2e-11 * mag)
+    respell = np.flatnonzero(~direct)
+    if respell.size:
+        offsets = 1 + len(item) + np.arange(cols) * (len(slot) + 1 + len(item))
+        starts = (respell // cols) * (len(row) + 1 + len(inner)) + offsets[respell % cols]
+        ends = [0] + (starts + len(slot)).tolist()
+        pieces = [template[e:s] for e, s in zip(ends, starts.tolist())]
+        # one spelling per distinct bit pattern (0.0 and -0.0 differ)
+        uniq, inverse = np.unique(x[respell].view(np.uint64), return_inverse=True)
+        spelling = np.array([_floatstr(jfloat(v)) for v in uniq.view(float).tolist()], dtype=object)
+        literals = spelling[inverse].tolist()
+        template = "".join(itertools.chain.from_iterable(zip(pieces, literals))) + template[ends[-1]:]
+    return template % tuple(x[direct].tolist())
 
 
 def read_json(path: str):

@@ -482,3 +482,38 @@ class TestMalformedInputNamesTheFile:
         assert code == 1
         assert out == ""
         assert err.startswith(f"xorgame: error: {bad}: ")
+
+
+class TestWrongTypedFieldsAreInputErrors:
+    """A field of the wrong type or shape exits 1 with one error line naming
+    the file; a well-formed but invalid game stays `game check`'s verdict
+    (exit 2, see TestGameCommands.test_check_rejects_unnormalized)."""
+
+    @staticmethod
+    def _assert_input_error(capsys, bad, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"xorgame: error: {bad}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n_alice": 2, "n_bob": 2, "matrix": 5},
+            {"n_alice": 2, "n_bob": 2, "matrix": [0.25]},
+            {"n_alice": 2, "n_bob": 2},
+        ],
+        ids=["matrix-is-a-number", "entry-count", "missing-matrix"],
+    )
+    def test_game_check(self, capsys, tmp_path, doc):
+        bad = tmp_path / "game.json"
+        bad.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, bad, ["game", "check", str(bad)])
+
+    @pytest.mark.parametrize("field,value", [("alice", 3), ("state", 5)])
+    def test_structure_verify(self, capsys, chsh2, tmp_path, field, value):
+        doc = sz.read_json(chsh2["can"])
+        doc[field] = value
+        bad = tmp_path / "strategy.json"
+        bad.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, bad, ["structure", "verify", str(bad), "--n", "2"])

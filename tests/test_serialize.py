@@ -10,7 +10,7 @@ from xorgame import serialize as sz
 from xorgame.games import chsh_game
 from xorgame.relations import chshn_dual_y, chshn_relations_form1
 from xorgame.sdp import solve
-from xorgame.strategies import canonical_chshn, tsirelson_strategy
+from xorgame.strategies import canonical_chshn, perturb, tsirelson_strategy
 from xorgame.games import symmetrize
 
 
@@ -162,3 +162,256 @@ class TestSweepCsv:
         )
         row = sz.sweep_row(3, 1.0 / 7.0, 10**13, rep)
         assert row == "3,0.142857142857,10000000000000,0.333333333333,0.666666666667,12,1e-20,17\n"
+
+
+# ---------------------------------------------------------------- writer oracle
+#
+# The writer must give exactly the bytes of json.dumps(indent=2).  Plain JSON
+# values are compared with json.dumps directly.  Matrices and states are
+# compared with json.dumps of the per-entry encoding they had before they
+# became [re, im] float arrays, kept here as the reference.
+
+
+def reference_pairs(z) -> list:
+    return [[sz.jfloat(c.real), sz.jfloat(c.imag)] for c in np.asarray(z, dtype=complex).reshape(-1)]
+
+
+def reference_matrix(m) -> dict:
+    m = np.asarray(m, dtype=complex)
+    return {"rows": m.shape[0], "cols": m.shape[1], "entries": reference_pairs(m)}
+
+
+def oracle(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# Where '%.12g' and repr(float(...)) spell a value differently, or nearly so.
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, 1e-4, 9.9999e-5, 1e-5, -3.3e-7, 0.1, 1 / 3,
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 2.2250738585e-308, 1e-307,
+    0.99999999999995, 2.00000000000004, 1.0000000000049, -123456.0000004, 123456.5, 12345678901.25, 99999999999.99,
+    1e11, 100000000000.4, 999999999999.5, 1e12, -5e13, 3.14159e14, 9.999999999999e15,
+    9999999999999999.0, 1e16, -1.5e17, 1e300, 1.7976931348623157e308,
+    math.nan, math.inf, -math.inf,
+]
+
+edge_floats = st.one_of(
+    st.floats(),  # every double: subnormals, NaN and infinities included
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-10**6, 10**6).map(float),
+    st.floats(1e12, 1e16) | st.floats(-1e16, -1e12),
+    st.floats(-1e-4, 1e-4),
+    st.floats(1e16, 1e300),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | edge_floats
+    | st.text(alphabet=st.characters(), max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+        | st.lists(edge_floats, min_size=1, max_size=6)
+    ),
+    max_leaves=20,
+)
+
+
+class TestDumpsMatchesJsonDumps:
+    @given(json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_json_values(self, doc):
+        assert sz.dumps(doc) == oracle(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [[], {}, [[]], {"a": {}}, [[], {}], "ünïcödé λ ✓", {"κλειδί": ["ω", None]},
+         [True, False, None, 0, -7, 2**80], [1.0, 2, 3.5], (1.0, -0.0), [math.nan, 1.0]],
+    )
+    def test_edge_documents(self, doc):
+        assert sz.dumps(doc) == oracle(doc)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, 1j, np.int64(3), b"x", np.zeros(3), {1: 2.0}])
+    def test_rejects_what_json_cannot_write(self, bad):
+        # dict keys must be strings; json.dumps would write {1: ...} as {"1": ...}
+        with pytest.raises(TypeError):
+            sz.dumps({"x": [bad]})
+
+    def test_write_json_writes_dumps(self, tmp_path):
+        doc = {"t": sz.matrix_to_dict(np.eye(3) * 0.5j), "x": [1.5, None]}
+        p = tmp_path / "doc.json"
+        sz.write_json(doc, str(p))
+        assert p.read_text() == sz.dumps(doc)
+
+
+complex_entries = st.builds(complex, edge_floats, edge_floats)
+
+
+class TestArraysMatchPerEntryReference:
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_matrix_edge_values(self, rows, cols, data):
+        vals = data.draw(st.lists(complex_entries, min_size=rows * cols, max_size=rows * cols))
+        m = np.array(vals, dtype=complex).reshape(rows, cols)
+        assert sz.dumps(sz.matrix_to_dict(m)) == oracle(reference_matrix(m))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_bit_patterns(self, seed):
+        # every exponent, sign, subnormal, NaN and infinity, 10 000 values
+        bits = np.random.default_rng(seed).integers(0, 2**64, size=10_000, dtype=np.uint64)
+        m = bits.view(float).view(complex).reshape(50, 100)
+        assert sz.dumps(sz.matrix_to_dict(m)) == oracle(reference_matrix(m))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e5, 1e11, 1e13])
+    def test_random_gaussian_and_rounded_integers(self, scale):
+        rng = np.random.default_rng(7)
+        m = (rng.standard_normal((70, 60)) + 1j * rng.standard_normal((70, 60))) * scale
+        m.real[::3] = np.rint(m.real[::3])
+        m.imag[::5] = 0.0
+        assert m.size > sz.ROWS_PER_FILL  # the entries span two template fills
+        assert sz.dumps(sz.matrix_to_dict(m)) == oracle(reference_matrix(m))
+
+    def test_strategy(self):
+        s = perturb(canonical_chshn(3), 0.05, 1, include_bob=True)
+        ref = {
+            "d_A": s.d_A,
+            "d_B": s.d_B,
+            "alice": [reference_matrix(o.matrix) for o in s.alice],
+            "bob": [reference_matrix(o.matrix) for o in s.bob],
+            "state": reference_pairs(s.state),
+        }
+        assert sz.dumps(sz.strategy_to_dict(s)) == oracle(ref)
+
+    @given(st.lists(complex_entries, min_size=4, max_size=4), edge_floats, edge_floats)
+    @settings(max_examples=25, deadline=None)
+    def test_report(self, vals, eps, res):
+        from xorgame.structure import IntertwinerReport
+
+        rep = IntertwinerReport(
+            t=np.array(vals).reshape(2, 2), frob_norm=res, alice_residuals=(res, eps),
+            bob_residuals=(), epsilon=eps, alice_bound=12.0, bob_bound=17.0, bounds_hold=False,
+        )
+        ref = dict(sz.report_to_dict(rep, omit=("t",)))
+        ref = {"t": reference_matrix(rep.t), **ref}
+        assert sz.dumps(sz.report_to_dict(rep)) == oracle(ref)
+
+    def test_loaded_and_encoded_documents_give_the_same_bytes(self):
+        m = np.array([[0.1 + 2j, -0.0], [1e13 - 1e-320j, math.nan]])
+        text = sz.dumps(sz.matrix_to_dict(m))
+        assert sz.dumps(json.loads(text)) == text
+
+
+# ---------------------------------------------------------------- reader parity
+
+
+def reference_parse_complex(v) -> complex:
+    """The per-entry parser matrix_from_dict used before the np.array reader."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise sz.FileFormatError(f"complex entries must be [re, im] pairs, got {v!r}")
+    return complex(float(v[0]), float(v[1]))
+
+
+def reference_matrix_from_dict(d) -> np.ndarray:
+    rows, cols, entries = int(d["rows"]), int(d["cols"]), d["entries"]
+    if len(entries) != rows * cols:
+        raise sz.FileFormatError("entry count")
+    return np.array([reference_parse_complex(v) for v in entries], dtype=complex).reshape(rows, cols)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+json_numbers = edge_floats | st.integers(-2**60, 2**60) | st.booleans()
+
+
+class TestReaderMatchesPerEntryParse:
+    @given(st.integers(0, 3), st.integers(0, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_edge_values(self, rows, cols, data):
+        pairs = data.draw(st.lists(st.lists(json_numbers, min_size=2, max_size=2),
+                                   min_size=rows * cols, max_size=rows * cols))
+        d = json.loads(json.dumps({"rows": rows, "cols": cols, "entries": pairs}))
+        assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
+
+    def test_random_values_and_in_process_arrays(self):
+        m = np.random.default_rng(3).standard_normal((6, 5)) * (1 + 1j)
+        d = json.loads(sz.dumps(sz.matrix_to_dict(m)))
+        assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
+        assert same_bits(sz.matrix_from_dict(sz.matrix_to_dict(m)), m)
+
+    def test_accepts_what_float_accepts(self):
+        # Accepted today and still accepted: ints, bools, NaN/Infinity
+        # literals, and numeric strings as float() parses them.
+        entries = [[1, True], [" 1.5 ", "1_000"], ["nan", "-Infinity"], [math.nan, -0.0]]
+        d = {"rows": 2, "cols": 2, "entries": entries}
+        assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
+        assert same_bits(sz.matrix_from_dict({"rows": 0, "cols": 3, "entries": []}),
+                         np.zeros((0, 3), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [3.0],                 # scalar entry
+            [[1.0]],               # one-element entry
+            [[1.0, 2.0, 3.0]],     # three-element entry
+            [[1.0, 2.0], [3.0]],   # ragged
+            [[[1.0, 2.0], [3.0, 4.0]]],  # nested too deep
+            [[None, 1.0]],         # null
+            [[{"re": 1}, 1.0]],    # object
+            [["one", 1.0]],        # non-numeric string
+            [[10**400, 0.0]],      # int beyond float range
+            5,                     # non-list entries
+            "ab",
+            {"a": [1.0, 2.0]},
+            None,
+            [[1.0, 2.0], [3.0, 4.0]],  # count mismatch (rows * cols = 1)
+        ],
+    )
+    def test_rejects(self, entries):
+        d = {"rows": 1, "cols": 1, "entries": entries}
+        with pytest.raises(sz.FileFormatError):
+            sz.matrix_from_dict(d)
+        # rejected before as well: FileFormatError, or an uncaught
+        # TypeError / ValueError / OverflowError
+        with pytest.raises((sz.FileFormatError, TypeError, ValueError, OverflowError)):
+            reference_matrix_from_dict(d)
+
+    def test_strategy_state_matches_per_entry_parse(self):
+        s = perturb(canonical_chshn(2), 0.1, 4)
+        d = json.loads(sz.dumps(sz.strategy_to_dict(s)))
+        state = np.array([reference_parse_complex(v) for v in d["state"]], dtype=complex)
+        assert same_bits(sz.strategy_from_dict(d).state, state)
+
+
+class TestWrongTypedFields:
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n_alice": 2, "n_bob": 2, "matrix": 5},
+            {"n_alice": 2, "n_bob": 2, "matrix": [[0.25, 0.25], [0.25, -0.25]]},
+            {"n_alice": 1, "n_bob": 1, "matrix": [None]},
+            {"n_alice": 1, "n_bob": 1, "matrix": [1.0], "labels": 3},
+            {"n_alice": [2], "n_bob": 2, "matrix": []},
+        ],
+    )
+    def test_game(self, doc):
+        with pytest.raises(sz.FileFormatError):
+            sz.game_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("alice", 3), ("bob", None), ("alice", [3]), ("alice", ["ab"]), ("state", 5),
+         ("state", [[1.0]]), ("d_A", [2])],
+    )
+    def test_strategy(self, field, value):
+        d = sz.strategy_to_dict(canonical_chshn(2))
+        d[field] = value
+        with pytest.raises(sz.FileFormatError):
+            sz.strategy_from_dict(d)
+
+    @pytest.mark.parametrize("d", [5, [1, 2], {"rows": [1], "cols": 1, "entries": [[1, 0]]},
+                                   {"rows": -1, "cols": -1, "entries": [[1, 0]]}])
+    def test_matrix(self, d):
+        with pytest.raises(sz.FileFormatError):
+            sz.matrix_from_dict(d)
