@@ -47,13 +47,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _load(path: str, from_dict, inputs: dict):
     """Parse a JSON input file with from_dict and record its sha256 in
-    inputs; an error from from_dict names the file."""
+    inputs; an error from from_dict names the file and stays a
+    FileFormatError if it was one."""
     raw = serialize.read_json(path)
     inputs[path] = serialize.sha256_digest(path)
     try:
         return from_dict(raw)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        kind = serialize.FileFormatError if isinstance(exc, serialize.FileFormatError) else ValueError
+        raise kind(f"{path}: {exc}") from exc
 
 
 def _print(data) -> None:
@@ -84,14 +86,13 @@ def _cmd_game_chsh(args, inputs):
 def _cmd_game_check(args, inputs):
     # an invalid game (normalization, non-finite entries) is this command's
     # verdict (exit 2); a file that is not a game document is an input error
-    raw = serialize.read_json(args.file)
-    inputs[args.file] = serialize.sha256_digest(args.file)
     try:
-        g = serialize.game_from_dict(raw)
-    except serialize.FileFormatError as exc:
-        raise ValueError(f"{args.file}: {exc}") from exc
+        g = _load(args.file, serialize.game_from_dict, inputs)
+    except serialize.FileFormatError:
+        raise
     except ValueError as exc:
-        return {"valid": False, "error": str(exc)}, EXIT_VERIFY
+        # the verdict quotes game_from_dict's message, without the file name
+        return {"valid": False, "error": str(exc.__cause__)}, EXIT_VERIFY
     outputs = {
         "valid": True,
         "n_alice": g.n_alice,

@@ -75,6 +75,11 @@ def _complex_vector(pairs, what: str) -> np.ndarray:
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
+    """m as a matrix object whose "entries" is an (N, 2) float ndarray of
+    [re, im] rows, not a JSON list: the result (and any dict holding it, as
+    from strategy_to_dict, solution_to_dict or report_to_dict) is input for
+    dumps/write_json only; json.dumps raises TypeError on it and == on two
+    such dicts is ambiguous."""
     m = np.asarray(m, dtype=complex)
     rows, cols = m.shape
     return {"rows": rows, "cols": cols, "entries": _pair_rows(m)}
@@ -273,8 +278,6 @@ def _encode(v, nl: str, out: list) -> None:
         inner = nl + "  "
         if not v:
             out.append("[]")
-        elif set(map(type, v)) == {float} and all(map(math.isfinite, v)):
-            out += ("[", inner, ("," + inner).join(map(float.__repr__, v)), nl, "]")
         else:
             sep = "[" + inner
             for x in v:

@@ -51,6 +51,7 @@ class TestGameCommands:
         code, rep, _ = run_json(capsys, "game", "check", str(p))
         assert code == 2
         assert rep["outputs"]["valid"] is False
+        assert rep["outputs"]["error"].startswith("sum of |entries|")
 
     def test_check_missing_file_is_usage_error(self, capsys):
         code, out, err = run(capsys, "game", "check", "does-not-exist.json")
