@@ -13,6 +13,7 @@ output files).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -250,7 +251,9 @@ def _cmd_sweep(args, inputs):
 # ---------------------------------------------------------------- wiring
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The xorgame parser, built once per process: parsing leaves it as it was."""
     p = _Parser(prog="xorgame", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

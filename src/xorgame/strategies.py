@@ -149,6 +149,21 @@ def _matched_combinations(mats) -> np.ndarray:
     return np.stack(combs) / np.sqrt(2)
 
 
+def _canonical_alice(n: int) -> list[np.ndarray]:
+    """Alice's n pairwise anticommuting matrices of canonical_chshn(n) on
+    C^(2^⌈n/2⌉), as plain arrays taken from the σ family."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidN(f"need integer n >= 2, got {n!r}")
+    k = n // 2
+    fam = sigma_observables(max(k, 1))
+    if n % 2 == 0:
+        return [fam[i].matrix for i in range(2 * k)]
+    eye2 = np.eye(2, dtype=complex)
+    alice_mats = [np.kron(eye2, fam[i].matrix) for i in range(2 * k)]
+    alice_mats.append(np.kron(_SIGMA_Z, fam[2 * k].matrix))
+    return alice_mats
+
+
 def canonical_chshn(n: int) -> Strategy:
     """The canonical optimal CHSH(n) strategy on C^(2^⌈n/2⌉) ⊗ C^(2^⌈n/2⌉).
 
@@ -156,18 +171,8 @@ def canonical_chshn(n: int) -> Strategy:
     (a,b) with (A_aᵀ + A_bᵀ)/√2 if a < b and (A_bᵀ − A_aᵀ)/√2 if a > b; the
     state is maximally entangled.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"need integer n >= 2, got {n!r}")
-    k = n // 2
-    fam = sigma_observables(max(k, 1))
-    if n % 2 == 0:
-        alice_mats = [fam[i].matrix for i in range(2 * k)]
-        d = 2**k
-    else:
-        eye2 = np.eye(2, dtype=complex)
-        alice_mats = [np.kron(eye2, fam[i].matrix) for i in range(2 * k)]
-        alice_mats.append(np.kron(_SIGMA_Z, fam[2 * k].matrix))
-        d = 2 ** (k + 1)
+    alice_mats = _canonical_alice(n)
+    d = alice_mats[0].shape[0]
     bob_mats = _matched_combinations(alice_mats).transpose(0, 2, 1)
     return Strategy(
         d,

@@ -6,16 +6,20 @@ Bob's observables are the matched ±combinations of Alice's.  For strategies
 that are only ε-optimal, an approximate intertwiner T maps the canonical
 strategy into the given one with Frobenius-norm error O(n²√ε); this module
 builds T, measures every residual, and checks the quantitative bounds.
+The residuals are taken in the 2ⁿ chain basis T is built from: the
+insertion signs say where each canonical observable sends each reference
+vector, so no product touches the reference side.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ChshnIndex, InvalidN, XorGame, chsh_game
+from .games import ChshnIndex, XorGame, chsh_game, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
     frobenius,
@@ -24,7 +28,15 @@ from .linalg import (
     sign_normalize,
     vec_to_matrix,
 )
-from .strategies import Observable, Strategy, _matched_combinations, bias, canonical_chshn, perturb
+from .strategies import (
+    Observable,
+    Strategy,
+    _canonical_alice,
+    _matched_combinations,
+    bias,
+    canonical_chshn,
+    perturb,
+)
 
 TSIRELSON_BIAS = 1.0 / np.sqrt(2.0)
 
@@ -83,10 +95,10 @@ def insertion_sign_right(j: BitString, k: int) -> int:
     return -1 if sum(j.bits[k:]) % 2 else 1
 
 
-def _chain_products(obs: tuple[Observable, ...]) -> np.ndarray:
-    """All 2ⁿ chain products O^j as a (2ⁿ, d, d) stack in BitString.all_strings
-    order, built by n batched doublings."""
-    mats = np.stack([o.matrix for o in obs])
+def _chain_products(mats: np.ndarray) -> np.ndarray:
+    """All 2ⁿ chain products O^j of an (n, d, d) stack as a (2ⁿ, d, d) stack in
+    BitString.all_strings order (bit 1 most significant), built by n batched
+    doublings."""
     d = mats.shape[-1]
     acc = np.eye(d, dtype=complex)[None]
     for o in mats:
@@ -94,26 +106,57 @@ def _chain_products(obs: tuple[Observable, ...]) -> np.ndarray:
     return acc
 
 
-def _reference_family(ref: Strategy) -> np.ndarray:
-    """Rows are the vectors (Ã^j ⊗ I)|ψ̃⟩ of a maximally entangled strategy."""
-    chains = _chain_products(ref.alice)
-    return chains.reshape(chains.shape[0], -1) / np.sqrt(ref.d_A)
+@dataclass(frozen=True)
+class _Reference:
+    """The canonical side of every CHSH(n) intertwiner; it depends on n only.
+
+    ybar: row j is the conjugate of (Ã^j ⊗ I)|ψ̃⟩, the reference family T
+        is built from.
+    signs: signs[k] = (−1)^(set bits of k) for k < 2^(n−1).  For j in
+        BitString.all_strings order, τ_t(j) = signs[j mod 2^(n−t)] is
+        insertion_sign_right(j, t), which the Bob residuals read, and
+        σ_i(j) = signs[j >> (n−i+1)] is insertion_sign_left(i, j), which
+        the Alice residuals build up by negating halves instead.
+    pairs: the unordered pairs a < b in Bob's column order: columns 2p and
+        2p+1 are (a, b) and (b, a) for pairs[p] = (a, b).
+    """
+
+    ybar: np.ndarray
+    signs: np.ndarray
+    pairs: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=1)
+def _reference(n: int) -> _Reference:
+    """The reference data for CHSH(n), built from the raw canonical Alice
+    matrices; its arrays are read-only.  One entry serves every report of a
+    run of equal n, such as a sweep's cells."""
+    mats = np.stack(_canonical_alice(n))
+    ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
+    signs = np.ones(1)
+    for _ in range(n - 1):
+        signs = np.concatenate((signs, -signs))
+    ybar.flags.writeable = False
+    signs.flags.writeable = False
+    return _Reference(ybar, signs, chshn_pair_order(n)[::2])
 
 
 def canonical_vector_family(n: int) -> list[np.ndarray]:
     """The 2ⁿ orthonormal vectors (Ã^j ⊗ I)|ψ̃⟩ of the canonical strategy."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"need integer n >= 2, got {n!r}")
-    return list(_reference_family(canonical_chshn(n)))
+    return list(_reference(n).ybar.conj())
 
 
-def _intertwiner(s: Strategy, n: int, ref: Strategy) -> np.ndarray:
+def _state_chains(s: Strategy, n: int) -> np.ndarray:
+    """C_j = A^j·M_ψ for every bit string j, as a (2ⁿ, d_A, d_B) stack."""
     if len(s.alice) != n:
         raise DimensionMismatch(f"strategy has {len(s.alice)} Alice observables, expected {n}")
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    x = (_chain_products(s.alice) @ mpsi).reshape(2**n, -1)
-    y = _reference_family(ref)
-    return (x.T @ y.conj()) / np.sqrt(2.0**n)
+    return _chain_products(np.stack([o.matrix for o in s.alice])) @ mpsi
+
+
+def _intertwiner(chains: np.ndarray, ref: _Reference) -> np.ndarray:
+    x = chains.reshape(chains.shape[0], -1)
+    return (x.T @ ref.ybar) / np.sqrt(float(x.shape[0]))
 
 
 def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
@@ -122,7 +165,8 @@ def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
     The reference vectors are orthonormal and each A^j is unitary, so
     ‖T‖_F = 1 for every valid strategy.
     """
-    return _intertwiner(s, n, canonical_chshn(n))
+    ref = _reference(n)
+    return _intertwiner(_state_chains(s, n), ref)
 
 
 @dataclass(frozen=True)
@@ -142,43 +186,75 @@ class IntertwinerReport:
 def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     """Build T and measure ‖(O⊗I)T − T(Õ⊗I)‖_F for every observable.
 
+    The residuals are taken in the 2ⁿ chain basis, with C_j = A^j·M_ψ, the
+    blocks T is built from.  A canonical observable maps reference vector j
+    to ± another one (the insertion signs σ_i = insertion_sign_left,
+    τ_t = insertion_sign_right), and the reference vectors are orthonormal,
+    so with j⊕e_i the string j with bit i flipped
+      Alice i:    2ⁿ·res² = Σ_j ‖A_i C_j − σ_i(j) C_{j⊕e_i}‖²,
+      Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±τ_a(j) C_{j⊕e_a}
+                                             + τ_b(j) C_{j⊕e_b})/√2‖²,
+    + for a < b and − for a > b.  That is one GEMM per observable and none
+    on the reference side.
+
     ε is the bias deficit relative to 1/√2; residuals are compared against
     12n²√ε (Alice) and 17n²√ε (Bob) with a 1e-12 floating-point margin.
     """
-    return _intertwiner_report(g, s, n, canonical_chshn(n))
-
-
-def _intertwiner_report(g: XorGame, s: Strategy, n: int, ref: Strategy) -> IntertwinerReport:
-    """intertwiner_report against ref, the caller's canonical_chshn(n)."""
+    ref = _reference(n)
     want_bob = n * (n - 1)
     if len(s.bob) != want_bob:
         raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {want_bob}")
-    t = _intertwiner(s, n, ref)
-    d = ref.d_A
+    chains = _state_chains(s, n)
+    t = _intertwiner(chains, ref)
     eps = max(0.0, 1.0 - bias(g, s) / TSIRELSON_BIAS)
-    t4 = t.reshape(s.d_A, s.d_B, d, d)
-    # Two buffers the size of T, reused for every observable: fresh
-    # temporaries per residual cost as much time as the products.
-    lhs = np.empty(t.size, dtype=complex)
-    rhs = np.empty(t.size, dtype=complex)
+    d_a, d_b = s.d_A, s.d_B
+    scale = float(np.sqrt(2.0**n))
+    # The differences are formed directly: ‖X‖² − 2Re⟨X,Y⟩ + ‖Y‖² would
+    # cancel to rounding noise where the residual is near zero.  Three
+    # buffers the size of the chain block serve every observable.
+    ours = np.ascontiguousarray(chains.transpose(1, 0, 2))
+    signed = ours.copy()
+    lhs = np.empty(chains.size, dtype=complex)
 
-    def residuals(layout: np.ndarray, ours, theirs) -> tuple[float, ...]:
-        # layout puts our factor first and the reference factor last, so
-        # (O⊗I)T and T(Õ⊗I) are two plain GEMMs on the same index order.
-        # The difference is formed directly: 2‖T‖² − 2Re⟨X,Y⟩ would cancel
-        # to rounding noise where the residual is near zero.
-        ours_first = layout.reshape(layout.shape[0], -1)
-        ref_last = layout.reshape(-1, d)
-        out = []
-        for o, ot in zip(ours, theirs):
-            np.matmul(o.matrix, ours_first, out=lhs.reshape(ours_first.shape))
-            np.matmul(ref_last, ot.matrix, out=rhs.reshape(ref_last.shape))
-            out.append(frobenius(np.subtract(lhs, rhs, out=lhs)))
-        return tuple(out)
+    # Alice, in the layout (a, j, b) where each A_i is one GEMM.  signed
+    # holds σ_i(j)·C_j; since σ_i(j⊕e_i) = σ_i(j), its reversed view along
+    # bit i is the subtrahend, and σ_{i+1}(j) = σ_i(j)·(−1)^(j_i) flips the
+    # half with bit i set once observable i is done.
+    alice_res = []
+    for i, o in enumerate(s.alice):
+        split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
+        np.matmul(o.matrix, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
+        diff = lhs.reshape(split)
+        np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
+        alice_res.append(frobenius(lhs) / scale)
+        signed.reshape(split)[:, :, 1] *= -1
 
-    # t4 axes are (a, b, c, e): Alice, Bob, reference Alice, reference Bob.
-    alice_res = residuals(np.ascontiguousarray(t4.transpose(0, 1, 3, 2)), s.alice, ref.alice)
-    bob_res = residuals(np.ascontiguousarray(t4.transpose(1, 0, 2, 3)), s.bob, ref.bob)
+    # Bob, in the layout (j, a, b) of the chains, where each B_abᵀ is one
+    # GEMM.  The columns (a, b) and (b, a) share the flipped terms
+    # F_t = τ_t(j)·C_{j⊕e_t}/√2, filled into the two freed buffers; F_a
+    # stays while a does.
+    rows = chains.reshape(-1, d_b)
+    f_a, f_b = ours.reshape(-1), signed.reshape(-1)
+
+    def fill(out: np.ndarray, t: int) -> None:
+        split = (2 ** (t - 1), 2, 2 ** (n - t), d_a * d_b)
+        tau = ref.signs[: split[2], None] / np.sqrt(2.0)
+        np.multiply(chains.reshape(split)[:, ::-1], tau, out=out.reshape(split))
+
+    bob_res = []
+    filled = None
+    for p, (a, b) in enumerate(ref.pairs):
+        if a != filled:
+            fill(f_a, a)
+            filled = a
+        fill(f_b, b)
+        # column 2p is (a, b), target F_a + F_b; column 2p+1 is (b, a), F_a − F_b
+        for col, combine in ((2 * p, np.subtract), (2 * p + 1, np.add)):
+            np.matmul(rows, s.bob[col].matrix.T, out=lhs.reshape(rows.shape))
+            np.subtract(lhs, f_a, out=lhs)
+            combine(lhs, f_b, out=lhs)
+            bob_res.append(frobenius(lhs) / scale)
+
     a_bound = 12.0 * n * n * np.sqrt(eps)
     b_bound = 17.0 * n * n * np.sqrt(eps)
     holds = all(r <= a_bound + 1e-12 for r in alice_res) and all(
@@ -187,8 +263,8 @@ def _intertwiner_report(g: XorGame, s: Strategy, n: int, ref: Strategy) -> Inter
     return IntertwinerReport(
         t=t,
         frob_norm=frobenius(t),
-        alice_residuals=alice_res,
-        bob_residuals=bob_res,
+        alice_residuals=tuple(alice_res),
+        bob_residuals=tuple(bob_res),
         epsilon=eps,
         alice_bound=a_bound,
         bob_bound=b_bound,
@@ -202,9 +278,10 @@ def intertwiner_sweep(
     """(n, θ, seed, report) for the canonical CHSH(n) strategy perturbed by
     θ with that seed, over the grid n_values × thetas × seeds in that order.
 
-    The game and the canonical strategy, which is both the perturbed base
-    and the intertwiner's reference, are built once per n.  An empty axis
-    raises ValueError: a sweep without cells checks no bound.
+    The game and the canonical strategy, the perturbed base, are built once
+    per n; the cells of one n share the intertwiner's cached reference
+    data.  An empty axis raises ValueError: a sweep without cells checks no
+    bound.
     """
     if not (n_values and thetas and seeds):
         raise ValueError("sweep grid is empty")
@@ -213,7 +290,7 @@ def intertwiner_sweep(
         base = canonical_chshn(n)
         for theta in thetas:
             for seed in seeds:
-                yield n, theta, seed, _intertwiner_report(g, perturb(base, theta, seed), n, base)
+                yield n, theta, seed, intertwiner_report(g, perturb(base, theta, seed), n)
 
 
 def anticommutation_residual(s: Strategy, n: int) -> float:

@@ -371,6 +371,27 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "strategy", "canonical")
         assert code == 1
 
+    def test_cached_parser_matches_fresh_parsers(self, capsys):
+        # main reuses one parser per process; a usage error on it must not
+        # change how later commands parse
+        argvs = [
+            ("strategy", "canonical"),
+            ("game", "chsh", "--n", "2"),
+            ("relations", "chshn", "--n", "3", "--form", "2", "--bogus"),
+            ("relations", "chshn", "--n", "3", "--form", "2"),
+            ("frobnicate",),
+            ("strategy", "canonical", "--n", "3"),
+            ("sweep", "--n-values", "2", "--thetas", "0.05", "--seeds", "0"),
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        cached = [run(capsys, *argv) for argv in argvs]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert [c[0] for c in cached] == [1, 0, 1, 0, 1, 0, 0]
+
 
 @pytest.fixture(scope="module")
 def chsh2(tmp_path_factory):

@@ -99,12 +99,12 @@ def test_bound_sweep_input_errors_exit_1_like_the_cli(tmp_path, capsys, argv):
 def test_bound_sweep_failed_bound_exits_2_like_the_cli(capsys, monkeypatch):
     # valid strategies meet the bounds, so mark the reports as failing
     # directly, in the report function the sweep engine calls
-    real = structure._intertwiner_report
+    real = structure.intertwiner_report
 
     def failing(*a, **k):
         return dataclasses.replace(real(*a, **k), bounds_hold=False)
 
-    monkeypatch.setattr(structure, "_intertwiner_report", failing)
+    monkeypatch.setattr(structure, "intertwiner_report", failing)
     bound_sweep = _load("bound_sweep")
     argv = ["--n-values", "2", "--thetas", "0.05", "--seeds", "0"]
     assert bound_sweep.main(argv) == 2

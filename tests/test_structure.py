@@ -303,6 +303,109 @@ class TestIntertwinerReport:
         assert rep.epsilon == pytest.approx(1.0 - bias(g, s) * RT2, abs=1e-12)
 
 
+def _reshape_residuals(s, n, t):
+    """‖(O⊗I)T − T(Õ⊗I)‖_F per observable on T itself, the reference for the
+    chain-basis residuals: T reshaped so that both sides are plain GEMMs,
+    two per observable."""
+    ref = canonical_chshn(n)
+    d = ref.d_A
+    t4 = t.reshape(s.d_A, s.d_B, d, d)
+
+    def residuals(layout, ours, theirs):
+        # layout puts our factor first and the reference factor last
+        ours_first = layout.reshape(layout.shape[0], -1)
+        ref_last = layout.reshape(-1, d)
+        return [
+            frobenius((o.matrix @ ours_first).reshape(-1) - (ref_last @ ot.matrix).reshape(-1))
+            for o, ot in zip(ours, theirs)
+        ]
+
+    # t4 axes are (a, b, c, e): Alice, Bob, reference Alice, reference Bob.
+    alice = residuals(np.ascontiguousarray(t4.transpose(0, 1, 3, 2)), s.alice, ref.alice)
+    bob = residuals(np.ascontiguousarray(t4.transpose(1, 0, 2, 3)), s.bob, ref.bob)
+    return alice, bob
+
+
+def _assert_matches_reshape(rep, s, n):
+    alice, bob = _reshape_residuals(s, n, rep.t)
+    assert len(rep.alice_residuals) == n and len(rep.bob_residuals) == n * (n - 1)
+    assert np.abs(np.subtract(rep.alice_residuals, alice)).max() <= 1e-12
+    assert np.abs(np.subtract(rep.bob_residuals, bob)).max() <= 1e-12
+
+
+def _same_report(a, b):
+    return (
+        a.t.tobytes() == b.t.tobytes()
+        and (a.alice_residuals, a.bob_residuals, a.epsilon, a.bounds_hold)
+        == (b.alice_residuals, b.bob_residuals, b.epsilon, b.bounds_hold)
+    )
+
+
+class TestChainBasisResiduals:
+    @pytest.mark.parametrize("include_bob", [False, True], ids=["alice", "both"])
+    @pytest.mark.parametrize("theta", [0.0, 0.01, 0.1])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reshape_reference(self, n, theta, include_bob):
+        g, _ = chsh_game(n)
+        s = perturb(canonical_chshn(n), theta, seed=n, include_bob=include_bob)
+        rep = intertwiner_report(g, s, n)
+        _assert_matches_reshape(rep, s, n)
+        if theta > 0.0:
+            assert max(rep.alice_residuals) > 1e-3
+            if include_bob:
+                assert min(rep.bob_residuals) > 1e-4
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_junk_embedded_match_reshape_reference(self, n):
+        g, _ = chsh_game(n)
+        for s in near_optimal_variants(n):
+            _assert_matches_reshape(intertwiner_report(g, s, n), s, n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_canonical_residuals_are_exact_zeros(self, n):
+        # each chain-basis entry on both sides is one product of the same
+        # two numbers, so the differences cancel exactly
+        g, _ = chsh_game(n)
+        rep = intertwiner_report(g, canonical_chshn(n), n)
+        assert set(rep.alice_residuals) == set(rep.bob_residuals) == {0.0}
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sign_vector_gives_both_insertion_signs(self, n):
+        signs = structure._reference(n).signs
+        assert len(signs) == 2 ** (n - 1)
+        for j, bits in enumerate(BitString.all_strings(n)):
+            for i in range(1, n + 1):
+                assert signs[j >> (n - i + 1)] == insertion_sign_left(i, bits)
+                assert signs[j % 2 ** (n - i)] == insertion_sign_right(bits, i)
+
+    def test_cached_reference_gives_fresh_results(self):
+        cells = [(3, 0.05, 0), (2, 0.1, 1), (3, 0.01, 2), (3, 0.01, 2), (3, 0.01, 2)]
+        strategies = {
+            c: perturb(canonical_chshn(c[0]), c[1], c[2], include_bob=True) for c in cells
+        }
+        fresh = {}
+        for c in cells:
+            structure._reference.cache_clear()
+            fresh[c] = intertwiner_report(chsh_game(c[0])[0], strategies[c], c[0])
+        structure._reference.cache_clear()
+        for c in cells:
+            n = c[0]
+            ref = structure._reference(n)
+            before = ref.ybar.tobytes(), ref.signs.tobytes(), ref.pairs
+            rep = intertwiner_report(chsh_game(n)[0], strategies[c], n)
+            assert _same_report(rep, fresh[c])
+            assert structure._reference(n) is ref
+            assert (ref.ybar.tobytes(), ref.signs.tobytes(), ref.pairs) == before
+        info = structure._reference.cache_info()
+        assert (info.maxsize, info.misses) == (1, 3)
+
+    def test_cached_arrays_are_read_only(self):
+        ref = structure._reference(3)
+        for a in (ref.ybar, ref.signs):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
 class TestAnticommutationResidual:
     def test_canonical_vanishes(self):
         assert anticommutation_residual(canonical_chshn(3), 3) < 1e-10
