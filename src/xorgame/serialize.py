@@ -10,15 +10,19 @@ sweep is CSV with the SWEEP_COLUMNS header.
 bytes of `json.dumps(data, indent=2) + "\\n"`.  The `*_to_dict` encoders keep
 matrix entries and states as (N, 2) float arrays of [re, im] rows, which
 the writer emits as the lists json.dumps would write for their `jfloat`
-values, from '%.12g' template fills with no per-pair Python objects.  The
-readers take entries with one `np.array` conversion and a shape check, and
-raise FileFormatError on any field of the wrong type or shape.
+values.  It spells every float array of a document together with numpy,
+in blocks of rows: each value's digits, sign and exponent come from
+lookup tables into fixed-width records of ASCII bytes, and one pass that
+drops the NUL padding gives the text.  Values the tables do not cover are
+spelled one by one, once per distinct bit pattern.  The readers take entries
+with one `np.array` conversion and a shape check, and raise
+FileFormatError on any field of the wrong type or shape, and on a file
+that is not UTF-8 JSON.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 from json.encoder import encode_basestring_ascii
@@ -117,6 +121,8 @@ def game_from_dict(d) -> XorGame:
         labels = tuple(labels) if labels is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"game file must have n_alice/n_bob/matrix: {exc}")
+    if n < 1 or m < 1:
+        raise FileFormatError(f"game must have n_alice, n_bob >= 1, got {n} and {m}")
     matrix = _floats(flat, "game matrix")
     if matrix.shape != (n * m,):
         raise FileFormatError(f"game matrix must be a list of {n}*{m} numbers, got shape {matrix.shape}")
@@ -242,26 +248,37 @@ def dumps(data) -> str:
     array is written as json.dumps writes the list of its rows with every
     value passed through jfloat.
     """
-    return "".join(_chunks(data))
+    return b"".join(_chunks(data)).decode("ascii")
 
 
 def write_json(data, path: str) -> None:
     """Write dumps(data) to path."""
     chunks = _chunks(data)
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
 
 
-def _chunks(data) -> list[str]:
+def _chunks(data) -> list[bytes]:
+    """dumps(data) as ASCII byte strings."""
     out: list[str] = []
-    _encode(data, "\n", out)
+    arrays: list[tuple[np.ndarray, str, int]] = []
+    _encode(data, "\n", out, arrays)
     out.append("\n")
-    return out
+    chunks = []
+    start = 0
+    for (_, _, at), rows in zip(arrays, _spell_arrays(arrays)):
+        chunks.append("".join(out[start:at]).encode())
+        chunks += rows
+        start = at
+    chunks.append("".join(out[start:]).encode())
+    return chunks
 
 
-def _encode(v, nl: str, out: list) -> None:
+def _encode(v, nl: str, out: list, arrays: list) -> None:
     """Append v to out as json.dumps(indent=2) writes it at the depth whose
-    line break and indentation is nl."""
+    line break and indentation is nl.  A 2-D float array's rows are left to
+    _spell_arrays: out gets the brackets around them, and arrays gets the
+    array, the indentation of its rows and the position in out where they go."""
     if isinstance(v, str):
         out.append(encode_basestring_ascii(v))
     elif v is None:
@@ -282,7 +299,7 @@ def _encode(v, nl: str, out: list) -> None:
             sep = "[" + inner
             for x in v:
                 out.append(sep)
-                _encode(x, inner, out)
+                _encode(x, inner, out, arrays)
                 sep = "," + inner
             out.append(nl + "]")
     elif isinstance(v, dict):
@@ -295,14 +312,17 @@ def _encode(v, nl: str, out: list) -> None:
                 if not isinstance(k, str):
                     raise TypeError(f"keys must be str, not {type(k).__name__}")
                 out += (sep, encode_basestring_ascii(k), ": ")
-                _encode(x, inner, out)
+                _encode(x, inner, out, arrays)
                 sep = "," + inner
             out.append(nl + "}")
     elif isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == float:
         if v.size:
-            _rows(v, nl, out)
+            inner = nl + "  "
+            out.append("[" + inner)
+            arrays.append((v, inner, len(out)))
+            out.append(nl + "]")
         else:
-            _encode(v.tolist(), nl, out)
+            _encode(v.tolist(), nl, out, arrays)
     else:
         raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
@@ -316,67 +336,195 @@ def _floatstr(x: float) -> str:
     return float.__repr__(x)
 
 
-# Rows per template fill: bounds the writer's temporaries to about a MB.
+# Rows per spelling block: bounds the writer's temporaries to a few MB.
 ROWS_PER_FILL = 4096
 
 
-def _rows(a: np.ndarray, nl: str, out: list) -> None:
-    """Append the 2-D float array a to out as json.dumps(indent=2) writes
-    the list of its rows with every value passed through jfloat, at the
-    depth whose line break and indentation is nl."""
-    inner = nl + "  "
-    out.append("[" + inner)
-    for start in range(0, a.shape[0], ROWS_PER_FILL):
-        if start:
-            out.append("," + inner)
-        out.append(_fill_rows(a[start:start + ROWS_PER_FILL], inner))
-    out.append(nl + "]")
+def _spell_arrays(arrays) -> list[list[bytes]]:
+    """For each (array, inner, _) of arrays, its rows as json.dumps(indent=2)
+    writes them, each a list of jfloat values at the depth whose line break
+    and indentation is inner, separated by commas: the text between the
+    brackets of the list of rows, as byte strings.
+
+    The arrays that share a row layout (indentation and column count) are
+    spelled together, ROWS_PER_FILL rows at a time, so a document of many
+    small matrices costs a few numpy passes, not a few per matrix."""
+    spelled: list[list[bytes]] = [[] for _ in arrays]
+    layouts: dict[tuple[str, int], list[int]] = {}
+    for i, (a, inner, _) in enumerate(arrays):
+        layouts.setdefault((inner, a.shape[1]), []).append(i)
+    for (inner, cols), ids in layouts.items():
+        segments = []  # (array index, first row, end row) in the block
+        room = ROWS_PER_FILL
+        for i in ids:
+            rows, r0 = arrays[i][0].shape[0], 0
+            while r0 < rows:
+                r1 = min(rows, r0 + room)
+                segments.append((i, r0, r1))
+                room -= r1 - r0
+                r0 = r1
+                if not room:
+                    _spell_block(arrays, segments, inner, cols, spelled)
+                    segments, room = [], ROWS_PER_FILL
+        if segments:
+            _spell_block(arrays, segments, inner, cols, spelled)
+    return spelled
 
 
-def _fill_rows(a: np.ndarray, inner: str) -> str:
-    """The rows of a, each written as a list of jfloat values at the depth
-    whose line break and indentation is inner, separated by commas.
+def _spell_block(arrays, segments, inner: str, cols: int, spelled) -> None:
+    """Append to spelled[i] the text of rows r0:r1 of array i, for each
+    segment (i, r0, r1), each row followed by "," + inner unless it is the
+    array's last.
 
-    A template with one '%.12g' slot per value is filled in one formatting
-    call.  For a normal double whose 12-digit rounding is neither an integer
-    (which repr ends in '.0') nor of magnitude in [1e12, 1e16) (which repr
-    writes positionally), those digits are exactly repr(jfloat(v)): both are
-    the one decimal of at most 12 significant digits that names jfloat(v).
-    The slots of the values that may fall outside that are replaced by their
-    spelling before the fill: zeros and subnormals (below 1e-307), NaN,
-    infinities, and values within 2e-11 relative of an integer.  A 12-digit
-    rounding moves a value by at most 5e-12 relative, so the last class holds
-    every value that rounds to an integer, every magnitude above 2.5e10
-    included.
-    """
+    Every row is laid out as one record of ASCII bytes padded with NULs:
+    the row's constant text and _spell's value fields.  One compress that
+    drops the NULs gives the text."""
+    parts = [arrays[i][0][r0:r1] for i, r0, r1 in segments]
+    x = np.concatenate(parts) if len(parts) > 1 else parts[0]
     item = inner + "  "
-    slot = "%.12g"
-    rows, cols = a.shape
-    row = "[" + item + ("," + item).join([slot] * cols) + inner + "]"
-    template = ("," + inner).join(itertools.repeat(row, rows))
-    x = a.reshape(-1)
+    slot = "\0" * _TEXT
+    row = ("[" + item + ("," + item).join([slot] * cols) + inner + "]," + inner).encode()
+    tail = len(inner) + 1  # the "," + inner that follows a row
+    rec = np.empty((x.shape[0], len(row)), np.uint8)
+    rec[:] = np.frombuffer(row, np.uint8)
+    values = _spell(x.reshape(-1)).view(np.uint8).reshape(x.shape[0], cols, 8 * _FIELD)
+    for j in range(cols):
+        at = len(item) + 1 + j * (_TEXT + len(item) + 1)
+        rec[:, at:at + _TEXT] = values[:, j, :_TEXT]
+    ends = np.cumsum([r1 - r0 for _, r0, r1 in segments])
+    last = [end - 1 for (i, _, r1), end in zip(segments, ends) if r1 == arrays[i][0].shape[0]]
+    rec[last, len(row) - tail:] = 0
+    text = rec.tobytes().translate(None, b"\0")
+    b0 = 0
+    for (i, _, _), start, end in zip(segments, [0, *ends], ends):
+        b1 = b0 + np.count_nonzero(rec[start:end])
+        spelled[i].append(text[b0:b1])
+        b0 = b1
+
+
+# _spell writes each value into a field of four 8-byte words of ASCII
+# padded with NULs: the sign and the "0." and zeros of a fixed-point
+# spelling (or all of an integer's), the 12 mantissa digits as four 4-byte
+# groups of three with the decimal point of d.ddde-XX after the first, and
+# the "e-XX".  Only the first _TEXT bytes can hold text: no spelling is
+# longer than repr's longest, 24 characters.
+_FIELD = 4
+_TEXT = 28
+_E_MIN, _E_MAX = -99, -1
+_POW10 = np.array([float(10**(11 + k)) for k in range(1 - _E_MIN)])  # 10^(11−e) at -e
+_INT_MAX = 999
+
+
+def _words(texts, width: int) -> np.ndarray:
+    """The texts as NUL-padded words of width bytes."""
+    return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode(), f"u{width}")
+
+
+def _digit_words() -> np.ndarray:
+    """Word 2000·p + 1000·z + g is the 3 digits of g, with a decimal point
+    after the first when p, and when z with its trailing zeros and then a
+    trailing point dropped."""
+    plain = [f"{g:03d}" for g in range(1000)]
+    pointed = [t[0] + "." + t[1:] for t in plain]
+    return _words([t.rstrip("0").rstrip(".") if z else t
+                   for group in (plain, pointed) for z in (0, 1) for t in group], 4)
+
+
+def _decimal_words() -> tuple[np.ndarray, np.ndarray]:
+    """The first and last words of a decimal's field with exponent e in
+    [_E_MIN, _E_MAX + 1] and sign bit neg, at 2·(e − _E_MIN) + neg (e =
+    _E_MAX + 1 only marks a value that rounds up to 1)."""
+    prefixes, suffixes = [], []
+    for e in range(_E_MIN, _E_MAX + 2):
+        for sign in ("", "-"):
+            prefixes.append(sign if e < -4 else sign + "0." + "0" * (-e - 1))
+            suffixes.append(f"e-{-e:02d}" if e < -4 else "")
+    return _words(prefixes, 8), _words(suffixes, 8)
+
+
+_DIGITS = _digit_words()
+_PREFIX, _SUFFIX = _decimal_words()
+# 1 + k + (_INT_MAX + 1)·neg: the integer ±k, all its field but NULs; 0: none
+_INTEGERS = _words([""] + [f"{sign}{k}.0" for sign in ("", "-") for k in range(_INT_MAX + 1)], 8)
+
+
+def _spell(x: np.ndarray) -> np.ndarray:
+    """The floats x as json.dumps spells their jfloat values: a (len(x),
+    _FIELD) array of words of ASCII padded with NULs.
+
+    Integers of at most three digits, zeros of either sign included, are
+    exact doubles that jfloat keeps, spelled from _INTEGERS; the other
+    values go to _spell_decimals.
+    """
     mag = np.abs(x)
     with np.errstate(invalid="ignore"):
-        direct = (mag >= 1e-307) & (np.abs(x - np.rint(x)) > 2e-11 * mag)
-    respell = np.flatnonzero(~direct)
-    if respell.size:
-        offsets = 1 + len(item) + np.arange(cols) * (len(slot) + 1 + len(item))
-        starts = (respell // cols) * (len(row) + 1 + len(inner)) + offsets[respell % cols]
-        ends = [0] + (starts + len(slot)).tolist()
-        pieces = [template[e:s] for e, s in zip(ends, starts.tolist())]
-        # one spelling per distinct bit pattern (0.0 and -0.0 differ)
-        uniq, inverse = np.unique(x[respell].view(np.uint64), return_inverse=True)
-        spelling = np.array([_floatstr(jfloat(v)) for v in uniq.view(float).tolist()], dtype=object)
-        literals = spelling[inverse].tolist()
-        template = "".join(itertools.chain.from_iterable(zip(pieces, literals))) + template[ends[-1]:]
-    return template % tuple(x[direct].tolist())
+        integer = (mag <= _INT_MAX) & (np.rint(mag) == mag)
+    out = np.zeros((len(x), _FIELD), np.uint64)
+    # k = 0, no text, for the rest (fmin takes NaN to _INT_MAX)
+    k = (np.fmin(mag, _INT_MAX) + 1 + (_INT_MAX + 1) * np.signbit(x)) * integer
+    out[:, 0] = _INTEGERS[k.astype(np.intp)]
+    rest = np.flatnonzero(~integer)
+    if rest.size:
+        out[rest] = _spell_decimals(x[rest])
+    return out
+
+
+def _spell_decimals(x: np.ndarray) -> np.ndarray:
+    """_spell for values other than integers of at most three digits.
+
+    A value with e = ⌊log10|x|⌋ in [-99, -1] has s = |x|·10^(11−e) within
+    2.3e-4 of its exact value (two roundings, the power's and the
+    product's), so away from the tie band |frac(s) − ½| < 1e-3, m = rint(s)
+    is the correctly rounded 12-digit mantissa that '%.12g' and
+    repr(jfloat(x)) both write, without trailing zeros.  m is cut into four
+    3-digit groups and each is looked up in _DIGITS.  Every other value
+    (NaN, infinities, larger integers, values of magnitude 1 or more,
+    3-digit exponents, the tie band, s outside [1e11, 1e12] from a log10
+    off by one, and values that round up to 1) is spelled by
+    _floatstr(jfloat(v)), once per distinct bit pattern.
+    """
+    mag = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.floor(np.log10(mag))
+        inside = np.fmin(np.fmax(e, _E_MIN), _E_MAX)  # NaN goes to _E_MIN
+        s = mag * _POW10[-inside.astype(np.intp)]
+        r = np.rint(s)
+        decimal = (e == inside) & (s >= 1e11) & (r <= 1e12) & (np.abs(s - r) <= 0.499)
+    m = (np.fmin(r, 1e12) * decimal).astype(np.int64)  # NaN goes to 1e12, then 0
+    carry = m == 10**12  # rounds up to the next power of ten
+    m[carry] = 10**11
+    e = inside.astype(np.intp) + carry
+    decimal &= e <= _E_MAX
+    kind = 2 * (e - _E_MIN) + np.signbit(x)
+    hi = m // 10**6
+    lo = m - hi * 10**6
+    g0 = hi // 1000
+    g2 = lo // 1000
+    g1 = hi - g0 * 1000
+    g3 = lo - g2 * 1000
+    index = (g0 + 1000 * ((lo == 0) & (g1 == 0)) + 2000 * (e < -4),
+             g1 + 1000 * (lo == 0), g2 + 1000 * (g3 == 0), g3 + 1000)
+    out = np.empty((len(x), _FIELD), np.uint64)
+    out[:, 0] = _PREFIX[kind]
+    digits = out[:, 1:3].view(np.uint32)
+    for k in range(4):
+        digits[:, k] = _DIGITS[index[k]]
+    out[:, 3] = _SUFFIX[kind]
+    slow = np.flatnonzero(~decimal)
+    if slow.size:
+        bits, inverse = np.unique(x[slow].view(np.uint64), return_inverse=True)
+        words = [_floatstr(jfloat(v)).encode() for v in bits.view(float).tolist()]
+        out[slow] = np.array(words, dtype=f"S{8 * _FIELD}").view(np.uint64).reshape(-1, _FIELD)[inverse]
+    return out
 
 
 def read_json(path: str):
+    """The JSON value in the UTF-8 file at path; FileFormatError naming the
+    file if it is not UTF-8 text or not JSON."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})")
 
 

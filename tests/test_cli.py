@@ -524,13 +524,21 @@ class TestWrongTypedFieldsAreInputErrors:
             {"n_alice": 2, "n_bob": 2, "matrix": 5},
             {"n_alice": 2, "n_bob": 2, "matrix": [0.25]},
             {"n_alice": 2, "n_bob": 2},
+            {"n_alice": -2, "n_bob": -2, "matrix": [0.25, 0.25, 0.25, -0.25]},
         ],
-        ids=["matrix-is-a-number", "entry-count", "missing-matrix"],
+        ids=["matrix-is-a-number", "entry-count", "missing-matrix", "negative-sizes"],
     )
     def test_game_check(self, capsys, tmp_path, doc):
         bad = tmp_path / "game.json"
         bad.write_text(json.dumps(doc))
         self._assert_input_error(capsys, bad, ["game", "check", str(bad)])
+
+    @pytest.mark.parametrize("argv", [["game", "check", "{bad}"], ["solve", "{bad}"]],
+                             ids=["game-check", "solve"])
+    def test_non_utf8_input(self, capsys, tmp_path, argv):
+        bad = tmp_path / "game.json"
+        bad.write_bytes(b"\xff\xfe")
+        self._assert_input_error(capsys, bad, [a.format(bad=bad) for a in argv])
 
     @pytest.mark.parametrize("field,value", [("alice", 3), ("state", 5)])
     def test_structure_verify(self, capsys, chsh2, tmp_path, field, value):

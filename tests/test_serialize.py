@@ -141,6 +141,12 @@ class TestFiles:
         with pytest.raises(sz.FileFormatError):
             sz.read_json(str(p))
 
+    def test_read_rejects_non_utf8_and_names_the_file(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b"\xff\xfe")
+        with pytest.raises(sz.FileFormatError, match="bad.json: invalid JSON"):
+            sz.read_json(str(p))
+
 
 class TestSweepCsv:
     def test_header_is_the_column_list(self):
@@ -268,7 +274,7 @@ class TestArraysMatchPerEntryReference:
         m = (rng.standard_normal((70, 60)) + 1j * rng.standard_normal((70, 60))) * scale
         m.real[::3] = np.rint(m.real[::3])
         m.imag[::5] = 0.0
-        assert m.size > sz.ROWS_PER_FILL  # the entries span two template fills
+        assert m.size > sz.ROWS_PER_FILL  # the entries span two spelling blocks
         assert sz.dumps(sz.matrix_to_dict(m)) == oracle(reference_matrix(m))
 
     def test_strategy(self):
@@ -299,6 +305,76 @@ class TestArraysMatchPerEntryReference:
         m = np.array([[0.1 + 2j, -0.0], [1e13 - 1e-320j, math.nan]])
         text = sz.dumps(sz.matrix_to_dict(m))
         assert sz.dumps(json.loads(text)) == text
+
+
+class TestSpellingEdges:
+    """The table-driven spelling against json.dumps: the tie band, carries
+    across a power of ten, the fixed/exponent switch, and the values left to
+    the per-value spelling."""
+
+    @staticmethod
+    def assert_matches(values):
+        values = list(values) + [0.5] * (len(values) % 2)  # [re, im] pairs
+        m = np.asarray(values, dtype=float).view(complex).reshape(-1, 1)
+        assert sz.dumps(sz.matrix_to_dict(m)) == oracle(reference_matrix(m))
+
+    @pytest.mark.parametrize("e", [-99, -40, -12, -5, -4, -3, -1])
+    def test_tie_band(self, e):
+        # 12-digit mantissas followed by a 5: the double is within an ulp of
+        # a rounding tie, where rint of the scaled value can fall either way
+        rng = np.random.default_rng(-e)
+        ties = (rng.integers(10**11, 10**12, size=2000) + 0.5) * 10.0 ** (e - 11)
+        near = np.concatenate([np.nextafter(ties, 0), ties, np.nextafter(ties, 1)])
+        self.assert_matches(np.concatenate([near, -near]))
+
+    def test_round_up_across_a_power_of_ten(self):
+        # 0.1 and 1e-4 (fixed notation) from below, the second from an
+        # exponent-notation neighbourhood; 1 from below is an integer
+        values = [0.0999999999999996, 9.99999999999996e-5, -9.99999999999996e-5,
+                  9.99999999999996e-6, 9.99999999999996e-99, 0.999999999999996, 0.9999999999996]
+        self.assert_matches(values + [np.nextafter(10.0 ** -k, 0) for k in range(1, 100)])
+
+    def test_fixed_exponent_switch(self):
+        # e = -4 is written 0.000ddd, e = -5 as d.ddde-05
+        values = [1.23456789012345e-4, -9.87654321098765e-4, 1e-4, 1.5e-4, 1.23456789012345e-5,
+                  -9.87654321098765e-5, 1e-5, 1.5e-5, 1.000000000001e-5, 1.00000000001e-4]
+        self.assert_matches(values)
+
+    def test_three_digit_exponents(self):
+        values = [1e-100, -1.5e-100, 1.23456789012345e-150, 9.99999999999996e-100, 2.2250738585e-308]
+        self.assert_matches(values)
+
+    def test_non_integers_of_magnitude_one_or_more(self):
+        values = [1.5, -2.25, 12345.678, -99.999, 999.5, 123456789.123, 2.5e10 + 0.3, 1.00000000001]
+        self.assert_matches(values)
+
+    def test_integer_table_edges(self):
+        values = [0.0, -0.0, 999.0, -999.0, 1000.0, -1000.0, 998.9999999999999, 7.0, -42.0]
+        self.assert_matches(values)
+
+    def test_strategy_and_report_in_one_document_over_several_blocks(self):
+        # The extra matrices share the strategy matrices' indentation, so they
+        # are laid out in one record array, and block boundaries fall inside
+        # them; the report's T and the state have layouts of their own.
+        from xorgame.structure import intertwiner_report
+
+        s = perturb(canonical_chshn(7), 0.05, 3, include_bob=True)
+        g, _ = chsh_game(5)
+        rep = intertwiner_report(g, perturb(canonical_chshn(5), 0.1, 4), 5)
+        rng = np.random.default_rng(11)
+        extra = [rng.standard_normal((r, c)) * 10.0 ** rng.integers(-12, 3, (r, c)) for r, c in [(37, 41), (61, 67)]]
+        doc = {"strategy": sz.strategy_to_dict(s), "report": sz.report_to_dict(rep),
+               "extra": {"alice": [sz.matrix_to_dict(m) for m in extra]}}
+        ref = {
+            "strategy": {"d_A": s.d_A, "d_B": s.d_B,
+                         "alice": [reference_matrix(o.matrix) for o in s.alice],
+                         "bob": [reference_matrix(o.matrix) for o in s.bob],
+                         "state": reference_pairs(s.state)},
+            "report": {"t": reference_matrix(rep.t), **sz.report_to_dict(rep, omit=("t",))},
+            "extra": {"alice": [reference_matrix(m) for m in extra]},
+        }
+        assert sum(len(o.matrix.reshape(-1)) for o in s.alice + s.bob) > 3 * sz.ROWS_PER_FILL
+        assert sz.dumps(doc) == oracle(ref)
 
 
 # ---------------------------------------------------------------- reader parity
@@ -393,6 +469,8 @@ class TestWrongTypedFields:
             {"n_alice": 1, "n_bob": 1, "matrix": [None]},
             {"n_alice": 1, "n_bob": 1, "matrix": [1.0], "labels": 3},
             {"n_alice": [2], "n_bob": 2, "matrix": []},
+            {"n_alice": -2, "n_bob": -2, "matrix": [0.25, 0.25, 0.25, -0.25]},  # (-2)·(-2) = 4
+            {"n_alice": 0, "n_bob": 3, "matrix": []},
         ],
     )
     def test_game(self, doc):
