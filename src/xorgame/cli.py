@@ -30,7 +30,12 @@ from .relations import (
 )
 from .sdp import DEFAULT_TOL, MaxIterations, solve
 from .strategies import bias, canonical_chshn, perturb, simulate, tsirelson_strategy
-from .structure import intertwiner_report, intertwiner_sweep, verify_optimal_form
+from .structure import (
+    intertwiner_report,
+    intertwiner_sweep,
+    require_chshn_shape,
+    verify_optimal_form,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +62,15 @@ def _load(path: str, from_dict, inputs: dict):
     except ValueError as exc:
         kind = serialize.FileFormatError if isinstance(exc, serialize.FileFormatError) else ValueError
         raise kind(f"{path}: {exc}") from exc
+
+
+def _load_chshn_strategy(args, inputs):
+    """The strategy file args.strategy, which must have the CHSH(args.n) shape."""
+    return _load(
+        args.strategy,
+        lambda d: require_chshn_shape(serialize.strategy_from_dict(d), args.n),
+        inputs,
+    )
 
 
 def _print(data) -> None:
@@ -201,7 +215,7 @@ def _cmd_strategy_perturb(args, inputs):
 
 
 def _cmd_structure_verify(args, inputs):
-    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    s = _load_chshn_strategy(args, inputs)
     rep = verify_optimal_form(s, args.n, args.tol)
     return serialize.report_to_dict(rep), EXIT_OK if rep.verdict else EXIT_VERIFY
 
@@ -211,7 +225,7 @@ def _cmd_structure_verify(args, inputs):
 
 def _cmd_intertwiner_report(args, inputs):
     g = _load(args.game, serialize.game_from_dict, inputs)
-    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    s = _load_chshn_strategy(args, inputs)
     rep = intertwiner_report(g, s, args.n)
     # T is d_A·d_B × d², so it is encoded only for the file
     outputs = serialize.report_to_dict(rep, omit=("t",))

@@ -7,7 +7,7 @@ winning sign V(s,t) = sign(G_st).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,55 +68,38 @@ def new_game(matrix, normalize: bool = False, labels: tuple[str, ...] | None = N
     return XorGame(m.shape[0], m.shape[1], m, labels)
 
 
-@dataclass(frozen=True)
-class ChshnIndex:
-    """Column order for Bob's ordered-pair questions in CHSH(n), built from n.
-
-    Unordered pairs ascend lexicographically and each emits (i,j) then (j,i):
-    (1,2),(2,1),(1,3),(3,1),...,(n-1,n),(n,n-1) (see chshn_pair_order).
-    """
-
-    n: int
-    pairs: tuple[tuple[int, int], ...] = field(init=False)
-    _col_of: dict = field(init=False, repr=False, hash=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", chshn_pair_order(self.n))
-        object.__setattr__(self, "_col_of", {p: c for c, p in enumerate(self.pairs)})
-
-    def column(self, i: int, j: int) -> int:
-        return self._col_of[(i, j)]
-
-    def pair(self, column: int) -> tuple[int, int]:
-        return self.pairs[column]
-
-
 def chshn_pair_order(n: int) -> tuple[tuple[int, int], ...]:
-    pairs = []
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        pairs.append((i, j))
-        pairs.append((j, i))
-    return tuple(pairs)
+    """Bob's ordered-pair questions in CHSH(n), in column order.
+
+    Unordered pairs ascend lexicographically and each gives (a, b) then
+    (b, a): (1,2),(2,1),(1,3),(3,1),...,(n-1,n),(n,n-1).  Every pair rule
+    in the package rests on two invariants of this order: column t ^ 1 is
+    column t reversed, and column t = (a, b) has matched sign + exactly
+    when a < b.  The game weighs column (a, b) with the matched sign at
+    row a and + at row b, and Bob's optimal answer to it is
+    (±A_a + A_b)/√2: (A_a + A_b)/√2 if a < b, (A_b − A_a)/√2 if a > b.
+    """
+    return tuple(
+        p for a, b in itertools.combinations(range(1, n + 1), 2) for p in ((a, b), (b, a))
+    )
 
 
-def chsh_game(n: int) -> tuple[XorGame, ChshnIndex]:
-    """The CHSH(n) game: Alice gets i ∈ {1..n}, Bob an ordered pair (i,j).
+def chsh_game(n: int) -> tuple[XorGame, tuple[tuple[int, int], ...]]:
+    """The CHSH(n) game and its column order chshn_pair_order(n).
 
-    Each unordered pair {i<j} contributes weight 1/(4·C(n,2)) to the four
-    cells (i,(i,j)), (j,(i,j)), (i,(j,i)) and -1/(4·C(n,2)) to (j,(j,i)).
+    Alice gets i ∈ {1..n}, Bob an ordered pair; each column weighs
+    1/(2·n(n−1)) at its two rows, with the matched sign at its first.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
-    index = ChshnIndex(int(n))
-    pairs = index.pairs
+    pairs = chshn_pair_order(int(n))
     w = 1.0 / (2 * n * (n - 1))
     m = np.zeros((n, len(pairs)))
-    for c, (a, b) in enumerate(pairs):
-        i, j = min(a, b), max(a, b)
-        m[i - 1, c] = w
-        m[j - 1, c] = w if a < b else -w
+    for t, (a, b) in enumerate(pairs):
+        m[a - 1, t] = w if a < b else -w
+        m[b - 1, t] = w
     labels = tuple(f"{a},{b}" for a, b in pairs)
-    return XorGame(int(n), len(pairs), m, labels), index
+    return XorGame(int(n), len(pairs), m, labels), pairs
 
 
 def symmetrize(g: XorGame) -> np.ndarray:

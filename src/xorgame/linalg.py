@@ -1,8 +1,8 @@
 """Dense complex linear algebra kernel.
 
 Everything downstream (games, SDP, strategies, structure checks) runs on the
-primitives in this module: Kronecker products, the Hermitian eigensolver, the
-vector/matrix reshaping bijection, Schmidt decompositions and operator sign
+primitives in this module: the Hermitian eigensolver, the vector/matrix
+reshaping bijection, Schmidt decompositions and operator sign
 normalization.  The eigensolver is LAPACK ``eigh`` behind an entrywise
 Hermiticity check, so the last digits of its results, like those of every
 BLAS product in ``sdp.solve``, vary between BLAS builds and CPU kernels; the
@@ -45,11 +45,6 @@ def _as_complex_vector(w, name: str = "vector") -> np.ndarray:
 
 def frobenius(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a).real))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a ⊗ b."""
-    return np.kron(_as_complex_matrix(a, "a"), _as_complex_matrix(b, "b"))
 
 
 def require_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:

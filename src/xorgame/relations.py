@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ChshnIndex, InvalidN, XorGame, symmetrize
+from .games import InvalidN, XorGame, chshn_pair_order, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig, vec_to_matrix
 from .strategies import Strategy, bias
 
@@ -124,21 +124,14 @@ def chshn_relations_form1(n: int) -> RelationSystem:
     of the two answer columns for that unordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    index = ChshnIndex(n)
-    m = len(index.pairs)
-    pairs = []
-    for a, b in index.pairs:
-        u = np.zeros(n)
-        u[a - 1] = c
-        v = np.zeros(m)
-        if a < b:
-            v[index.column(a, b)] = c / np.sqrt(2.0)
-            v[index.column(b, a)] = c / np.sqrt(2.0)
-        else:
-            v[index.column(b, a)] = c / np.sqrt(2.0)
-            v[index.column(a, b)] = -c / np.sqrt(2.0)
-        pairs.append((u, v))
-    return RelationSystem(y, tuple(pairs), n, m)
+    h = c / np.sqrt(2.0)
+    order = chshn_pair_order(n)
+    u, v = np.zeros((len(order), n)), np.zeros((len(order), len(order)))
+    for t, (a, b) in enumerate(order):
+        u[t, a - 1] = c
+        v[t, t] = h if a < b else -h
+        v[t, t ^ 1] = h
+    return RelationSystem(y, tuple(zip(u, v)), n, len(order))
 
 
 def chshn_relations_form2(n: int) -> RelationSystem:
@@ -146,21 +139,14 @@ def chshn_relations_form2(n: int) -> RelationSystem:
     single answer column for that ordered pair."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    index = ChshnIndex(n)
-    m = len(index.pairs)
-    pairs = []
-    for a, b in index.pairs:
-        u = np.zeros(n)
-        if a < b:
-            u[a - 1] = c / np.sqrt(2.0)
-            u[b - 1] = c / np.sqrt(2.0)
-        else:
-            u[b - 1] = c / np.sqrt(2.0)
-            u[a - 1] = -c / np.sqrt(2.0)
-        v = np.zeros(m)
-        v[index.column(a, b)] = c
-        pairs.append((u, v))
-    return RelationSystem(y, tuple(pairs), n, m)
+    h = c / np.sqrt(2.0)
+    order = chshn_pair_order(n)
+    u, v = np.zeros((len(order), n)), np.zeros((len(order), len(order)))
+    for t, (a, b) in enumerate(order):
+        u[t, a - 1] = h if a < b else -h
+        u[t, b - 1] = h
+        v[t, t] = c
+    return RelationSystem(y, tuple(zip(u, v)), n, len(order))
 
 
 def residual(s: Strategy, rel: RelationSystem) -> float:

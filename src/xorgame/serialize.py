@@ -64,6 +64,15 @@ def _floats(values, what: str) -> np.ndarray:
     return a
 
 
+def _float_list(values, what: str) -> np.ndarray:
+    """A list of numbers as a 1-d float array, converted as _floats does;
+    FileFormatError for any other shape, a JSON string included."""
+    a = _floats(values, what)
+    if a.ndim != 1:
+        raise FileFormatError(f"{what} must be a list of numbers, got shape {a.shape}")
+    return a
+
+
 def _holds_none(v) -> bool:
     return v is None or (isinstance(v, (list, tuple)) and any(map(_holds_none, v)))
 
@@ -176,17 +185,15 @@ def relations_to_dict(rel: RelationSystem) -> dict:
 
 def relations_from_dict(d, n_alice: int, n_bob: int) -> RelationSystem:
     try:
-        y = [float(x) for x in d["y"]]
-        pairs = [
-            (
-                np.array([float(x) for x in p["u"]], dtype=float),
-                np.array([float(x) for x in p["v"]], dtype=float),
-            )
-            for p in d["pairs"]
-        ]
+        y, pairs = d["y"], [(p["u"], p["v"]) for p in d["pairs"]]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"relations file must have y/pairs: {exc}")
-    return RelationSystem(np.array(y), tuple(pairs), n_alice, n_bob)
+    return RelationSystem(
+        _float_list(y, "relations y"),
+        tuple((_float_list(u, "relation u"), _float_list(v, "relation v")) for u, v in pairs),
+        n_alice,
+        n_bob,
+    )
 
 
 def y_to_dict(y) -> dict:
@@ -195,9 +202,10 @@ def y_to_dict(y) -> dict:
 
 def y_from_dict(d) -> np.ndarray:
     try:
-        return np.array([float(x) for x in d["y"]], dtype=float)
+        y = d["y"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"y file must have a 'y' list: {exc}")
+    return _float_list(y, "y")
 
 
 def report_to_dict(rep, omit=()) -> dict:

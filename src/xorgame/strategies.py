@@ -142,8 +142,8 @@ def sigma_observables(k: int) -> list[Observable]:
 
 
 def _matched_combinations(mats) -> np.ndarray:
-    """Bob's matched pair rule on Alice's n matrices, stacked in CHSH(n) column
-    order: (A_a + A_b)/√2 for the ordered pair (a,b) if a < b, (A_b − A_a)/√2 if a > b."""
+    """The matched answers (±A_a + A_b)/√2 of chshn_pair_order to Alice's n
+    matrices, stacked in column order."""
     combs = [mats[a - 1] + mats[b - 1] if a < b else mats[b - 1] - mats[a - 1]
              for a, b in chshn_pair_order(len(mats))]
     return np.stack(combs) / np.sqrt(2)
@@ -167,9 +167,9 @@ def _canonical_alice(n: int) -> list[np.ndarray]:
 def canonical_chshn(n: int) -> Strategy:
     """The canonical optimal CHSH(n) strategy on C^(2^⌈n/2⌉) ⊗ C^(2^⌈n/2⌉).
 
-    Alice's observables anticommute pairwise; Bob answers the ordered pair
-    (a,b) with (A_aᵀ + A_bᵀ)/√2 if a < b and (A_bᵀ − A_aᵀ)/√2 if a > b; the
-    state is maximally entangled.
+    Alice's observables anticommute pairwise; Bob answers each ordered pair
+    with the transpose of its matched answer (±A_a + A_b)/√2 (see
+    chshn_pair_order); the state is maximally entangled.
     """
     alice_mats = _canonical_alice(n)
     d = alice_mats[0].shape[0]

@@ -13,13 +13,12 @@ vector, so no product touches the reference side.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import ChshnIndex, XorGame, chsh_game, chshn_pair_order
+from .games import XorGame, chsh_game, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
     frobenius,
@@ -45,60 +44,20 @@ class IndexOutOfRange(ValueError):
     """Observable index outside 1..n."""
 
 
-@dataclass(frozen=True)
-class BitString:
-    """A length-n tuple of bits selecting which observables enter a product."""
-
-    n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != self.n:
-            raise DimensionMismatch(f"got {len(bits)} bits, expected {self.n}")
-        if any(b not in (0, 1) for b in bits):
-            raise ValueError(f"bits must be 0/1, got {bits!r}")
-        object.__setattr__(self, "bits", bits)
-
-    @staticmethod
-    def all_strings(n: int) -> list["BitString"]:
-        return [BitString(n, bits) for bits in itertools.product((0, 1), repeat=n)]
-
-
-def chain_product(obs: list[Observable], j: BitString) -> np.ndarray:
-    """Ordered product O_1^{j_1} ··· O_n^{j_n}; identity for the zero string."""
-    if len(obs) != j.n:
-        raise DimensionMismatch(f"got {len(obs)} observables for {j.n} bits")
-    d = obs[0].dim if obs else 1
-    acc = np.eye(d, dtype=complex)
-    for o, b in zip(obs, j.bits):
-        if o.dim != d:
-            raise DimensionMismatch("observables have mixed dimensions")
-        if b:
-            acc = acc @ o.matrix
-    return acc
-
-
-def insertion_sign_left(i: int, j: BitString) -> int:
-    """Sign picked up by moving one anticommuting factor from the left of a
-    chain into slot i: (−1)^(number of set bits before i)."""
-    if not 1 <= i <= j.n:
-        raise IndexOutOfRange(f"i={i} outside 1..{j.n}")
-    return -1 if sum(j.bits[: i - 1]) % 2 else 1
-
-
-def insertion_sign_right(j: BitString, k: int) -> int:
-    """Sign picked up by moving one anticommuting factor from the right of a
-    chain into slot k: (−1)^(number of set bits after k)."""
-    if not 1 <= k <= j.n:
-        raise IndexOutOfRange(f"k={k} outside 1..{j.n}")
-    return -1 if sum(j.bits[k:]) % 2 else 1
+def require_chshn_shape(s: Strategy, n: int) -> Strategy:
+    """s itself if it has the CHSH(n) shape, n Alice and n(n−1) Bob
+    observables; DimensionMismatch otherwise."""
+    if (len(s.alice), len(s.bob)) != (n, n * (n - 1)):
+        raise DimensionMismatch(
+            f"strategy has {len(s.alice)}x{len(s.bob)} observables, expected {n}x{n * (n - 1)}"
+        )
+    return s
 
 
 def _chain_products(mats: np.ndarray) -> np.ndarray:
-    """All 2ⁿ chain products O^j of an (n, d, d) stack as a (2ⁿ, d, d) stack in
-    BitString.all_strings order (bit 1 most significant), built by n batched
-    doublings."""
+    """All 2ⁿ chain products O^j = O_1^{j_1} ··· O_n^{j_n} of an (n, d, d)
+    stack as a (2ⁿ, d, d) stack, bit strings j in lexicographic order (bit 1
+    most significant), built by n batched doublings."""
     d = mats.shape[-1]
     acc = np.eye(d, dtype=complex)[None]
     for o in mats:
@@ -113,17 +72,16 @@ class _Reference:
     ybar: row j is the conjugate of (Ã^j ⊗ I)|ψ̃⟩, the reference family T
         is built from.
     signs: signs[k] = (−1)^(set bits of k) for k < 2^(n−1).  For j in
-        BitString.all_strings order, τ_t(j) = signs[j mod 2^(n−t)] is
-        insertion_sign_right(j, t), which the Bob residuals read, and
-        σ_i(j) = signs[j >> (n−i+1)] is insertion_sign_left(i, j), which
-        the Alice residuals build up by negating halves instead.
-    pairs: the unordered pairs a < b in Bob's column order: columns 2p and
-        2p+1 are (a, b) and (b, a) for pairs[p] = (a, b).
+        _chain_products order, the insertion signs of anticommuting
+        factors, Õ_t·Ã^j = σ_t(j)·Ã^(j⊕e_t) and Ã^j·Õ_t = τ_t(j)·Ã^(j⊕e_t),
+        are τ_t(j) = (−1)^(set bits after t) = signs[j mod 2^(n−t)], which
+        the Bob residuals read, and σ_t(j) = (−1)^(set bits before t) =
+        signs[j >> (n−t+1)], which the Alice residuals build up by negating
+        halves instead.
     """
 
     ybar: np.ndarray
     signs: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
 
 
 @functools.lru_cache(maxsize=1)
@@ -138,7 +96,7 @@ def _reference(n: int) -> _Reference:
         signs = np.concatenate((signs, -signs))
     ybar.flags.writeable = False
     signs.flags.writeable = False
-    return _Reference(ybar, signs, chshn_pair_order(n)[::2])
+    return _Reference(ybar, signs)
 
 
 def canonical_vector_family(n: int) -> list[np.ndarray]:
@@ -148,8 +106,7 @@ def canonical_vector_family(n: int) -> list[np.ndarray]:
 
 def _state_chains(s: Strategy, n: int) -> np.ndarray:
     """C_j = A^j·M_ψ for every bit string j, as a (2ⁿ, d_A, d_B) stack."""
-    if len(s.alice) != n:
-        raise DimensionMismatch(f"strategy has {len(s.alice)} Alice observables, expected {n}")
+    require_chshn_shape(s, n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     return _chain_products(np.stack([o.matrix for o in s.alice])) @ mpsi
 
@@ -188,8 +145,8 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
 
     The residuals are taken in the 2ⁿ chain basis, with C_j = A^j·M_ψ, the
     blocks T is built from.  A canonical observable maps reference vector j
-    to ± another one (the insertion signs σ_i = insertion_sign_left,
-    τ_t = insertion_sign_right), and the reference vectors are orthonormal,
+    to ± another one (the insertion signs σ_i and τ_t of _Reference), and
+    the reference vectors are orthonormal,
     so with j⊕e_i the string j with bit i flipped
       Alice i:    2ⁿ·res² = Σ_j ‖A_i C_j − σ_i(j) C_{j⊕e_i}‖²,
       Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±τ_a(j) C_{j⊕e_a}
@@ -200,11 +157,8 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     ε is the bias deficit relative to 1/√2; residuals are compared against
     12n²√ε (Alice) and 17n²√ε (Bob) with a 1e-12 floating-point margin.
     """
-    ref = _reference(n)
-    want_bob = n * (n - 1)
-    if len(s.bob) != want_bob:
-        raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {want_bob}")
     chains = _state_chains(s, n)
+    ref = _reference(n)
     t = _intertwiner(chains, ref)
     eps = max(0.0, 1.0 - bias(g, s) / TSIRELSON_BIAS)
     d_a, d_b = s.d_A, s.d_B
@@ -230,11 +184,12 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
         signed.reshape(split)[:, :, 1] *= -1
 
     # Bob, in the layout (j, a, b) of the chains, where each B_abᵀ is one
-    # GEMM.  The columns (a, b) and (b, a) share the flipped terms
-    # F_t = τ_t(j)·C_{j⊕e_t}/√2, filled into the two freed buffers; F_a
-    # stays while a does.
+    # GEMM.  Column (a, b) has the target ±F_a + F_b, with its matched sign
+    # and the flipped terms F_t = τ_t(j)·C_{j⊕e_t}/√2.  Columns col and
+    # col ^ 1 share F_min(a,b) and F_max(a,b), filled into the two freed
+    # buffers at the column with a < b; F_min stays while min(a, b) does.
     rows = chains.reshape(-1, d_b)
-    f_a, f_b = ours.reshape(-1), signed.reshape(-1)
+    f_lo, f_hi = ours.reshape(-1), signed.reshape(-1)
 
     def fill(out: np.ndarray, t: int) -> None:
         split = (2 ** (t - 1), 2, 2 ** (n - t), d_a * d_b)
@@ -243,17 +198,16 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
 
     bob_res = []
     filled = None
-    for p, (a, b) in enumerate(ref.pairs):
-        if a != filled:
-            fill(f_a, a)
-            filled = a
-        fill(f_b, b)
-        # column 2p is (a, b), target F_a + F_b; column 2p+1 is (b, a), F_a − F_b
-        for col, combine in ((2 * p, np.subtract), (2 * p + 1, np.add)):
-            np.matmul(rows, s.bob[col].matrix.T, out=lhs.reshape(rows.shape))
-            np.subtract(lhs, f_a, out=lhs)
-            combine(lhs, f_b, out=lhs)
-            bob_res.append(frobenius(lhs) / scale)
+    for col, (a, b) in enumerate(chshn_pair_order(n)):
+        if a < b:
+            if a != filled:
+                fill(f_lo, a)
+                filled = a
+            fill(f_hi, b)
+        np.matmul(rows, s.bob[col].matrix.T, out=lhs.reshape(rows.shape))
+        np.subtract(lhs, f_lo, out=lhs)
+        (np.subtract if a < b else np.add)(lhs, f_hi, out=lhs)
+        bob_res.append(frobenius(lhs) / scale)
 
     a_bound = 12.0 * n * n * np.sqrt(eps)
     b_bound = 17.0 * n * n * np.sqrt(eps)
@@ -295,8 +249,7 @@ def intertwiner_sweep(
 
 def anticommutation_residual(s: Strategy, n: int) -> float:
     """Σ_{i<j} ‖((A_iA_j + A_jA_i)/2 ⊗ I)|ψ⟩‖²; bounded by (1+√2)² n(n−1) ε."""
-    if len(s.alice) != n:
-        raise DimensionMismatch(f"strategy has {len(s.alice)} Alice observables, expected {n}")
+    require_chshn_shape(s, n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     total = 0.0
     for i in range(n):
@@ -315,18 +268,15 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
     """
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
-    if len(s.bob) != n * (n - 1):
-        raise DimensionMismatch(f"strategy has {len(s.bob)} Bob observables, expected {n*(n-1)}")
-    index = ChshnIndex(n)
+    require_chshn_shape(s, n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     ak = s.alice[k - 1].matrix
     best = None
-    for l in range(1, n + 1):
-        if l == k:
+    for t, (a, l) in enumerate(chshn_pair_order(n)):
+        if a != k:
             continue
         sign = 1.0 if k < l else -1.0
-        op = sign * s.bob[index.column(k, l)].matrix + s.bob[index.column(l, k)].matrix
-        nrm = sign_normalize(op)
+        nrm = sign_normalize(sign * s.bob[t].matrix + s.bob[t ^ 1].matrix)
         dev = frobenius(ak @ mpsi - mpsi @ nrm.T)
         if best is None or dev < best[1]:
             best = (l, dev)
@@ -386,11 +336,7 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
     supports, Alice's must anticommute there, and Bob's must act on the state
     as the matched (A_a ± A_b)/√2.
     """
-    if len(s.alice) != n or len(s.bob) != n * (n - 1):
-        raise DimensionMismatch(
-            f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
-            f"expected {n}x{n*(n-1)}"
-        )
+    require_chshn_shape(s, n)
     dec = schmidt(s.state, s.d_A, s.d_B)
     rank = dec.rank
     block = 2 ** (n // 2)

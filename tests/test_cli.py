@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 
@@ -547,3 +548,95 @@ class TestWrongTypedFieldsAreInputErrors:
         bad = tmp_path / "strategy.json"
         bad.write_text(json.dumps(doc))
         self._assert_input_error(capsys, bad, ["structure", "verify", str(bad), "--n", "2"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["structure", "verify", "{bad}", "--n", "2"],
+         ["intertwiner", "report", "{g}", "{bad}", "--n", "2"]],
+        ids=["structure-verify", "intertwiner-report"],
+    )
+    def test_strategy_without_alice_observables(self, capsys, chsh2, tmp_path, argv):
+        doc = sz.read_json(chsh2["can"])
+        doc["alice"] = []
+        bad = tmp_path / "strategy.json"
+        bad.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, bad, [a.format(bad=bad, **chsh2) for a in argv])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["structure", "verify", "{can}", "--n", "3"],
+         ["intertwiner", "report", "{g}", "{can}", "--n", "3"]],
+        ids=["structure-verify", "intertwiner-report"],
+    )
+    def test_strategy_of_another_n(self, capsys, chsh2, argv):
+        self._assert_input_error(capsys, chsh2["can"], [a.format(**chsh2) for a in argv])
+
+    @pytest.mark.parametrize(
+        "argv,doc",
+        [
+            (["relations", "extract", "{g}", "{bad}"], {"y": "1234"}),
+            (["relations", "extract", "{g}", "{bad}"], {"y": ["abc"]}),
+            (["relations", "residual", "{g}", "{can}", "{bad}"], {"y": "1234", "pairs": []}),
+            (["relations", "residual", "{g}", "{can}", "{bad}"],
+             {"y": [0.1] * 4, "pairs": [{"u": "12", "v": [1.0, 0.0]}]}),
+        ],
+        ids=["y-string", "y-string-entry", "relations-y-string", "relations-u-string"],
+    )
+    def test_string_fields_of_number_lists(self, capsys, chsh2, tmp_path, argv, doc):
+        bad = tmp_path / "numbers.json"
+        bad.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, bad, [a.format(bad=bad, **chsh2) for a in argv])
+
+
+# sha256 of each artifact for n = 2..8, as `--out` writes it.  These
+# artifacts come from sums, differences and Kronecker products of exact
+# matrices, with no BLAS call, so their bytes are the same on every host.
+GOLDEN_SHA256 = {
+    ("game", "chsh"): [
+        "b29992693c08bf9d7c98d04e35404e5194ed249943d0e3379f0cd62b4d6308f3",
+        "eb6a490065bf7a99eaa08351890492eaefa97daf68cc697edca6c02f6ad9215d",
+        "ec6cedffb8dd6c9fa68c8250916b70ae69424cb1bced391d8a1481eef7d474ec",
+        "cf3511ac989ae373fce8e17c48fa429741ac510b4f05fa829947bfae9767c4ac",
+        "6b0059f0887decb2492a4e0fdf1119bbe36d36133576968e9787faf815f41512",
+        "2b573f2de0f1575e542f29a407195ad674d02aff8ae48ce2fec2ea154a898e9a",
+        "3362e03d3af65b5d2d4078b9afe8713255eea3de5ca455aaa045a8ff6b7138f4",
+    ],
+    ("relations", "chshn", "--form", "1"): [
+        "95e24450e43f4c54be69404f133edade2b43df94093aa51251771de9a33ca416",
+        "5fddc9338c9d605af89908652aea10a2e31fefaf11ed87e1de81c980713c8813",
+        "54087bf8f8c4de0bb8f4f9c9231911feb415d99bdcd2de34a4f691f0fca5434f",
+        "5e3f1ab26c8c265a7078e0ae3b55b152b804e2852beeaf7385ca5509e39dd6e5",
+        "929c8b26407b8241343b50a619e7e64651b7b04b4501d91f5a73d63ef586b698",
+        "f595eed08f7352f26b9e0137b48c91e774563f3ef367ebae24fc3f8e3368bbae",
+        "4c7395bd6b0f8051e4b514b3f0667145ae7624c92ea76124ebc111c9a26329c4",
+    ],
+    ("relations", "chshn", "--form", "2"): [
+        "21d57e8769ed49ce494f68bccee41396770ee95056300e2cd05a11af54ca333b",
+        "0d3a9aa8673ed93e88dde866508102da82fb3b7b25bcb6399f83636371a11d4f",
+        "7d1de7108a924128160d84f2822b994d69224ea87f33b634806526b22c043ed5",
+        "bd5a8b7bad51ef30538c9445fbd8bad929f172285d9e0bf257c8bca7b97eb704",
+        "84303ee491c70e51277a5665a5d275b35a47dd1b9a0dd587ace9b63ea082c050",
+        "1a6046ff806ad3b382a7b4af85e234438d6e7c5ef52fb9094ec9a0f0396382bc",
+        "d7208f9a143b056b2b79c731f12a24ce58cb90fa95f31df7011307a11a3ba1aa",
+    ],
+    ("strategy", "canonical"): [
+        "276a2b4dbea49992fba5d4b011f3be8f3e599a06152ef4591bb3e55f95fa03ea",
+        "1ead7b1fa635a0dca7af8a48dbf5f6670ca56aad3709aa81c5683e3e23584cc1",
+        "a192878b2a91a19a7df5086b54fe36869c17b76c1e075fb94324fce8947f8fae",
+        "39a192e0e153e799af35cd2b61523cea8fe404d1de5d933bd5b32629c455fe3d",
+        "96d41bbe8491699889cdd800a91f9adeffccc451efa192882b09abe7ecd3b420",
+        "f953e4fc915f7ad29e9ec4954dfc3760c88edf2d75813f7f098384ceaea5a28b",
+        "1651c17d8546c6b3d61ac98546d0a5b57fa61d4b21f76810769ddf910d4df061",
+    ],
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_SHA256), ids=" ".join)
+def test_golden_artifact_bytes(capsys, tmp_path, argv):
+    out = tmp_path / "artifact.json"
+    digests = []
+    for n in range(2, 9):
+        assert cli.main([*argv, "--n", str(n), "--out", str(out)]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    capsys.readouterr()
+    assert digests == GOLDEN_SHA256[argv]

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from xorgame import games
 from xorgame.games import (
-    ChshnIndex,
     InvalidN,
     NotNormalized,
     TooLarge,
@@ -68,7 +67,7 @@ class TestChshGame:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_shape_and_weights(self, n):
-        g, idx = chsh_game(n)
+        g, _ = chsh_game(n)
         assert g.matrix.shape == (n, n * (n - 1))
         nz = g.matrix[g.matrix != 0.0]
         assert nz.size == 2 * n * (n - 1)
@@ -78,9 +77,9 @@ class TestChshGame:
         assert abs(g.matrix.sum() - 0.5) < 1e-13
 
     def test_column_signs(self):
-        g, idx = chsh_game(3)
-        t_plus = idx.column(1, 2)
-        t_minus = idx.column(2, 1)
+        g, pairs = chsh_game(3)
+        t_plus, t_minus = 0, 1
+        assert pairs[t_plus] == (1, 2) and pairs[t_minus] == (2, 1)
         w = 1.0 / 12.0
         assert g.matrix[0, t_plus] == pytest.approx(w)
         assert g.matrix[1, t_plus] == pytest.approx(w)
@@ -88,20 +87,26 @@ class TestChshGame:
         assert g.matrix[1, t_minus] == pytest.approx(-w)
 
     def test_labels_follow_pairs(self):
-        g, idx = chsh_game(2)
+        g, _ = chsh_game(2)
         assert g.labels == ("1,2", "2,1")
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_index_built_from_n(self, n):
-        idx = ChshnIndex(n)
-        assert idx.pairs == chshn_pair_order(n)
-        assert chsh_game(n)[1] == idx
+        assert chsh_game(n)[1] == chshn_pair_order(n)
 
-    def test_index_round_trip(self):
-        _, idx = chsh_game(4)
-        for t, (a, b) in enumerate(idx.pairs):
-            assert idx.column(a, b) == t
-            assert idx.pair(t) == (a, b)
+    def test_pair_order_invariants(self):
+        # the two invariants every pair rule rests on: column t ^ 1 is column
+        # t reversed, and the matched sign (the game's sign at row a of
+        # column (a, b), + at row b) is + exactly when a < b
+        for n in (2, 3, 4, 7):
+            g, pairs = chsh_game(n)
+            assert sorted(pairs) == sorted(itertools.permutations(range(1, n + 1), 2))
+            w = 1.0 / (2 * n * (n - 1))
+            for t, (a, b) in enumerate(pairs):
+                assert pairs[t ^ 1] == (b, a)
+                assert g.matrix[a - 1, t] == (w if a < b else -w)
+                assert g.matrix[b - 1, t] == w
+                assert np.count_nonzero(g.matrix[:, t]) == 2
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidN):

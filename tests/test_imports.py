@@ -30,3 +30,18 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a name removed from a module must leave no stale __all__ entry behind
+    import xorgame
+
+    tree = ast.parse((ROOT / "src" / "xorgame" / "__init__.py").read_text(encoding="utf-8"))
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    ]
+    assert len(xorgame.__all__) == len(set(xorgame.__all__))
+    assert set(xorgame.__all__) == set(imported)

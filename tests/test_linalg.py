@@ -9,7 +9,6 @@ from xorgame.linalg import (
     SchmidtDecomposition,
     frobenius,
     hermitian_eig,
-    kron,
     matrix_to_vec,
     require_hermitian,
     schmidt,
@@ -96,8 +95,8 @@ class TestVecBijection:
         n = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         vec = matrix_to_vec(x)
-        assert np.allclose(kron(m, np.eye(4)) @ vec, matrix_to_vec(m @ x), atol=1e-13)
-        assert np.allclose(kron(np.eye(3), n) @ vec, matrix_to_vec(x @ n.T), atol=1e-13)
+        assert np.allclose(np.kron(m, np.eye(4)) @ vec, matrix_to_vec(m @ x), atol=1e-13)
+        assert np.allclose(np.kron(np.eye(3), n) @ vec, matrix_to_vec(x @ n.T), atol=1e-13)
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -174,11 +173,11 @@ class TestKronFrobenius:
     def test_frobenius_multiplicative_under_kron(self, rng):
         a = random_hermitian(rng, 3)
         b = random_hermitian(rng, 2)
-        assert abs(frobenius(kron(a, b)) - frobenius(a) * frobenius(b)) < 1e-12
+        assert abs(frobenius(np.kron(a, b)) - frobenius(a) * frobenius(b)) < 1e-12
 
     def test_kron_matches_block_layout(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         b = np.eye(2, dtype=complex)
         top = np.hstack([b, 2 * b])
         bottom = np.hstack([3 * b, 4 * b])
-        assert np.array_equal(kron(a, b), np.vstack([top, bottom]))
+        assert np.array_equal(np.kron(a, b), np.vstack([top, bottom]))

@@ -493,3 +493,24 @@ class TestWrongTypedFields:
     def test_matrix(self, d):
         with pytest.raises(sz.FileFormatError):
             sz.matrix_from_dict(d)
+
+    # a JSON string is a sequence too: {"y": "1234"} must not read as [1, 2, 3, 4]
+    @pytest.mark.parametrize("y", ["1234", ["abc"], [[1.0]], None, 5],
+                             ids=["string", "string-entry", "nested", "null", "number"])
+    def test_y(self, y):
+        with pytest.raises(sz.FileFormatError):
+            sz.y_from_dict({"y": y})
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("y", "1234"), ("y", ["abc"]), ("u", "12"), ("v", ["x", "y"]), ("u", [[1.0, 0.0]])],
+        ids=["y-string", "y-string-entry", "u-string", "v-string-entries", "u-nested"],
+    )
+    def test_relations(self, field, value):
+        d = {"y": [0.1] * 4, "pairs": [{"u": [1.0, 0.0], "v": [0.0, 1.0]}]}
+        if field == "y":
+            d["y"] = value
+        else:
+            d["pairs"][0][field] = value
+        with pytest.raises(sz.FileFormatError):
+            sz.relations_from_dict(d, 2, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xorgame.games import chsh_game, new_game
-from xorgame.linalg import DimensionMismatch, kron, matrix_to_vec, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
     BadDiagonal,
     InvalidK,
@@ -117,8 +117,8 @@ class TestCanonical:
 
     def test_bob_matches_alice_combinations(self):
         s = canonical_chshn(3)
-        _, idx = chsh_game(3)
-        for t, (a, b) in enumerate(idx.pairs):
+        _, pairs = chsh_game(3)
+        for t, (a, b) in enumerate(pairs):
             if a < b:
                 want = (s.alice[a - 1].matrix.T + s.alice[b - 1].matrix.T) / RT2
             else:
@@ -222,7 +222,7 @@ class TestTsirelson:
         psi = s.state
         for i in range(2):
             for j in range(3):
-                corr = np.vdot(psi, kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
+                corr = np.vdot(psi, np.kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
                 assert abs(corr.real - z[i, 2 + j]) < 1e-10
                 assert abs(corr.imag) < 1e-12
 
@@ -231,7 +231,7 @@ class TestTsirelson:
         psi = s.state
         for i in range(2):
             for j in range(2):
-                corr = np.vdot(psi, kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
+                corr = np.vdot(psi, np.kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
                 assert abs(corr) < 1e-12
 
     def test_dimension_is_power_of_two_of_half_count(self):

@@ -5,7 +5,7 @@ import pytest
 
 import xorgame.structure as structure
 from xorgame.games import InvalidN, chsh_game, chshn_pair_order
-from xorgame.linalg import DimensionMismatch, frobenius, kron, matrix_to_vec, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
     Observable,
     Strategy,
@@ -17,15 +17,11 @@ from xorgame.strategies import (
     sigma_observables,
 )
 from xorgame.structure import (
-    BitString,
     IndexOutOfRange,
     ab_switch_check,
     anticommutation_residual,
     build_intertwiner,
     canonical_vector_family,
-    chain_product,
-    insertion_sign_left,
-    insertion_sign_right,
     intertwiner_report,
     intertwiner_sweep,
     normalization_lemma_check,
@@ -33,6 +29,7 @@ from xorgame.structure import (
 )
 
 from conftest import near_optimal_variants, random_observable
+from oracles import BitString, chain_product, insertion_sign_left, insertion_sign_right
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -197,8 +194,8 @@ class TestBuildIntertwiner:
         t = build_intertwiner(s, n)
         eye = np.eye(s.d_B, dtype=complex)
         for i in range(n):
-            lhs = kron(s.alice[i].matrix, eye) @ t
-            rhs = t @ kron(s.alice[i].matrix, np.eye(s.d_A, dtype=complex))
+            lhs = np.kron(s.alice[i].matrix, eye) @ t
+            rhs = t @ np.kron(s.alice[i].matrix, np.eye(s.d_A, dtype=complex))
             assert frobenius(lhs - rhs) < 1e-10
 
     def test_dimension_mismatch(self):
@@ -227,11 +224,11 @@ def _kron_residuals(s, n, t):
     eye_b = np.eye(s.d_B, dtype=complex)
     eye_d = np.eye(ref.d_A, dtype=complex)
     alice = [
-        frobenius(kron(o.matrix, eye_b) @ t - t @ kron(ot.matrix, eye_d))
+        frobenius(np.kron(o.matrix, eye_b) @ t - t @ np.kron(ot.matrix, eye_d))
         for o, ot in zip(s.alice, ref.alice)
     ]
     bob = [
-        frobenius(kron(eye_a, o.matrix) @ t - t @ kron(eye_d, ot.matrix))
+        frobenius(np.kron(eye_a, o.matrix) @ t - t @ np.kron(eye_d, ot.matrix))
         for o, ot in zip(s.bob, ref.bob)
     ]
     return alice, bob
@@ -391,11 +388,11 @@ class TestChainBasisResiduals:
         for c in cells:
             n = c[0]
             ref = structure._reference(n)
-            before = ref.ybar.tobytes(), ref.signs.tobytes(), ref.pairs
+            before = ref.ybar.tobytes(), ref.signs.tobytes()
             rep = intertwiner_report(chsh_game(n)[0], strategies[c], n)
             assert _same_report(rep, fresh[c])
             assert structure._reference(n) is ref
-            assert (ref.ybar.tobytes(), ref.signs.tobytes(), ref.pairs) == before
+            assert (ref.ybar.tobytes(), ref.signs.tobytes()) == before
         info = structure._reference.cache_info()
         assert (info.maxsize, info.misses) == (1, 3)
 
@@ -451,6 +448,11 @@ class TestAbSwitch:
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
             ab_switch_check(canonical_chshn(2), 2, 3)
+
+    def test_fewer_alice_observables_than_k(self):
+        c = canonical_chshn(2)
+        with pytest.raises(DimensionMismatch):
+            ab_switch_check(Strategy(2, 2, c.alice[:1], c.bob, c.state), 2, 2)
 
 
 class TestNormalizationLemma:
