@@ -29,10 +29,18 @@ from .relations import (
     extract_relations,
 )
 from .sdp import DEFAULT_TOL, MaxIterations, solve
-from .strategies import bias, canonical_chshn, perturb, simulate, tsirelson_strategy
+from .strategies import (
+    bias,
+    canonical_chshn,
+    perturb,
+    require_game_shape,
+    simulate,
+    tsirelson_strategy,
+)
 from .structure import (
     intertwiner_report,
     intertwiner_sweep,
+    require_chshn_game,
     require_chshn_shape,
     verify_optimal_form,
 )
@@ -57,20 +65,23 @@ def _load(path: str, from_dict, inputs: dict):
     FileFormatError if it was one."""
     raw = serialize.read_json(path)
     inputs[path] = serialize.sha256_digest(path)
+    return _naming(path, from_dict, raw)
+
+
+def _naming(path: str, f, *args):
+    """f(*args), with the message of a ValueError from it prefixed by path;
+    a FileFormatError stays one."""
     try:
-        return from_dict(raw)
+        return f(*args)
     except ValueError as exc:
         kind = serialize.FileFormatError if isinstance(exc, serialize.FileFormatError) else ValueError
         raise kind(f"{path}: {exc}") from exc
 
 
-def _load_chshn_strategy(args, inputs):
-    """The strategy file args.strategy, which must have the CHSH(args.n) shape."""
-    return _load(
-        args.strategy,
-        lambda d: require_chshn_shape(serialize.strategy_from_dict(d), args.n),
-        inputs,
-    )
+def _load_strategy(args, inputs, check):
+    """The strategy file args.strategy, passed through check, a shape check
+    that returns the strategy."""
+    return _load(args.strategy, lambda d: check(serialize.strategy_from_dict(d)), inputs)
 
 
 def _print(data) -> None:
@@ -156,7 +167,7 @@ def _cmd_relations_chshn(args, inputs):
 
 def _cmd_relations_residual(args, inputs):
     g = _load(args.game, serialize.game_from_dict, inputs)
-    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    s = _load_strategy(args, inputs, lambda st: require_game_shape(g, st))
     rel = _load(
         args.relations, lambda d: serialize.relations_from_dict(d, g.n_alice, g.n_bob), inputs
     )
@@ -188,13 +199,13 @@ def _cmd_strategy_tsirelson(args, inputs):
 
 def _cmd_strategy_bias(args, inputs):
     g = _load(args.game, serialize.game_from_dict, inputs)
-    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    s = _load_strategy(args, inputs, lambda st: require_game_shape(g, st))
     return {"bias": serialize.jfloat(bias(g, s))}, EXIT_OK
 
 
 def _cmd_strategy_simulate(args, inputs):
     g = _load(args.game, serialize.game_from_dict, inputs)
-    s = _load(args.strategy, serialize.strategy_from_dict, inputs)
+    s = _load_strategy(args, inputs, lambda st: require_game_shape(g, st))
     mean, stderr = simulate(g, s, args.rounds, args.seed)
     outputs = {
         "empirical_bias": serialize.jfloat(mean),
@@ -215,7 +226,7 @@ def _cmd_strategy_perturb(args, inputs):
 
 
 def _cmd_structure_verify(args, inputs):
-    s = _load_chshn_strategy(args, inputs)
+    s = _load_strategy(args, inputs, lambda st: require_chshn_shape(st, args.n))
     rep = verify_optimal_form(s, args.n, args.tol)
     return serialize.report_to_dict(rep), EXIT_OK if rep.verdict else EXIT_VERIFY
 
@@ -225,7 +236,9 @@ def _cmd_structure_verify(args, inputs):
 
 def _cmd_intertwiner_report(args, inputs):
     g = _load(args.game, serialize.game_from_dict, inputs)
-    s = _load_chshn_strategy(args, inputs)
+    s = _load_strategy(args, inputs, lambda st: require_chshn_shape(st, args.n))
+    # after the strategy's check, which names a strategy of another n first
+    _naming(args.game, require_chshn_game, g, args.n)
     rep = intertwiner_report(g, s, args.n)
     # T is d_A·d_B × d², so it is encoded only for the file
     outputs = serialize.report_to_dict(rep, omit=("t",))

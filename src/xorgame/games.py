@@ -84,12 +84,10 @@ def chshn_pair_order(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def chsh_game(n: int) -> tuple[XorGame, tuple[tuple[int, int], ...]]:
-    """The CHSH(n) game and its column order chshn_pair_order(n).
-
-    Alice gets i ∈ {1..n}, Bob an ordered pair; each column weighs
-    1/(2·n(n−1)) at its two rows, with the matched sign at its first.
-    """
+def chshn_matrix(n: int) -> np.ndarray:
+    """The CHSH(n) game matrix: Alice gets i ∈ {1..n}, Bob an ordered pair
+    of chshn_pair_order(n); each column weighs 1/(2·n(n−1)) at its two
+    rows, with the matched sign at its first."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
     pairs = chshn_pair_order(int(n))
@@ -98,6 +96,14 @@ def chsh_game(n: int) -> tuple[XorGame, tuple[tuple[int, int], ...]]:
     for t, (a, b) in enumerate(pairs):
         m[a - 1, t] = w if a < b else -w
         m[b - 1, t] = w
+    return m
+
+
+def chsh_game(n: int) -> tuple[XorGame, tuple[tuple[int, int], ...]]:
+    """The CHSH(n) game, matrix chshn_matrix(n), and its column order
+    chshn_pair_order(n)."""
+    m = chshn_matrix(n)
+    pairs = chshn_pair_order(int(n))
     labels = tuple(f"{a},{b}" for a, b in pairs)
     return XorGame(int(n), len(pairs), m, labels), pairs
 

@@ -10,10 +10,11 @@ sweep is CSV with the SWEEP_COLUMNS header.
 bytes of `json.dumps(data, indent=2) + "\\n"`.  The `*_to_dict` encoders keep
 matrix entries and states as (N, 2) float arrays of [re, im] rows, which
 the writer emits as the lists json.dumps would write for their `jfloat`
-values.  It spells every float array of a document together with numpy,
-in blocks of rows: each value's digits, sign and exponent come from
-lookup tables into fixed-width records of ASCII bytes, and one pass that
-drops the NUL padding gives the text.  Values the tables do not cover are
+values; json.dumps writes the rest of the document.  The writer spells
+every float array of a document together with numpy, in blocks of rows:
+each value's digits, sign and exponent come from lookup tables into
+fixed-width records of ASCII bytes, and one pass that drops the NUL
+padding gives the text.  Values the tables do not cover are
 spelled one by one, once per distinct bit pattern.  The readers take entries
 with one `np.array` conversion and a shape check, and raise
 FileFormatError on any field of the wrong type or shape, and on a file
@@ -24,8 +25,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -252,9 +251,9 @@ def sweep_row(n: int, theta: float, seed: int, rep: IntertwinerReport) -> str:
 def dumps(data) -> str:
     """data as JSON text: exactly json.dumps(data, indent=2) + "\\n".
 
-    data holds JSON values (dict keys are strings) and 2-D float arrays; an
-    array is written as json.dumps writes the list of its rows with every
-    value passed through jfloat.
+    data holds values json.dumps writes and 2-D float arrays; an array is
+    written as json.dumps writes the list of its rows with every value
+    passed through jfloat.
     """
     return b"".join(_chunks(data)).decode("ascii")
 
@@ -267,81 +266,43 @@ def write_json(data, path: str) -> None:
 
 
 def _chunks(data) -> list[bytes]:
-    """dumps(data) as ASCII byte strings."""
-    out: list[str] = []
-    arrays: list[tuple[np.ndarray, str, int]] = []
-    _encode(data, "\n", out, arrays)
-    out.append("\n")
-    chunks = []
-    start = 0
-    for (_, _, at), rows in zip(arrays, _spell_arrays(arrays)):
-        chunks.append("".join(out[start:at]).encode())
+    """dumps(data) as ASCII byte strings.  json.dumps writes the document
+    with a marker in place of each non-empty 2-D float array; the marker
+    becomes the array's brackets, and _spell_arrays writes the rows between
+    them, indented one level deeper than the line the marker was on."""
+    found: list[np.ndarray] = []
+
+    def hole(v):
+        if isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == float:
+            if not v.size:
+                return v.tolist()
+            found.append(v)
+            return _HOLE
+        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+    parts = json.dumps(data, indent=2, default=hole).split(_HOLE_JSON)
+    if len(parts) != len(found) + 1:
+        raise ValueError(f"a string in the document spells the array marker {_HOLE_JSON}")
+    arrays, texts, close = [], [], ""
+    for a, part in zip(found, parts):
+        line = part.rsplit("\n", 1)[-1]
+        nl = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        arrays.append((a, nl + "  "))
+        texts.append(close + part + "[" + nl + "  ")
+        close = nl + "]"
+    texts.append(close + parts[-1] + "\n")
+    chunks = [texts[0].encode()]
+    for rows, text in zip(_spell_arrays(arrays), texts[1:]):
         chunks += rows
-        start = at
-    chunks.append("".join(out[start:]).encode())
+        chunks.append(text.encode())
     return chunks
 
 
-def _encode(v, nl: str, out: list, arrays: list) -> None:
-    """Append v to out as json.dumps(indent=2) writes it at the depth whose
-    line break and indentation is nl.  A 2-D float array's rows are left to
-    _spell_arrays: out gets the brackets around them, and arrays gets the
-    array, the indentation of its rows and the position in out where they go."""
-    if isinstance(v, str):
-        out.append(encode_basestring_ascii(v))
-    elif v is None:
-        out.append("null")
-    elif v is True:
-        out.append("true")
-    elif v is False:
-        out.append("false")
-    elif isinstance(v, int):
-        out.append(int.__repr__(v))
-    elif isinstance(v, float):
-        out.append(_floatstr(v))
-    elif isinstance(v, (list, tuple)):
-        inner = nl + "  "
-        if not v:
-            out.append("[]")
-        else:
-            sep = "[" + inner
-            for x in v:
-                out.append(sep)
-                _encode(x, inner, out, arrays)
-                sep = "," + inner
-            out.append(nl + "]")
-    elif isinstance(v, dict):
-        inner = nl + "  "
-        if not v:
-            out.append("{}")
-        else:
-            sep = "{" + inner
-            for k, x in v.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                out += (sep, encode_basestring_ascii(k), ": ")
-                _encode(x, inner, out, arrays)
-                sep = "," + inner
-            out.append(nl + "}")
-    elif isinstance(v, np.ndarray) and v.ndim == 2 and v.dtype == float:
-        if v.size:
-            inner = nl + "  "
-            out.append("[" + inner)
-            arrays.append((v, inner, len(out)))
-            out.append(nl + "]")
-        else:
-            _encode(v.tolist(), nl, out, arrays)
-    else:
-        raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _floatstr(x: float) -> str:
-    """x as json.dumps spells a float."""
-    if x != x:
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+# Stands in for an array in json.dumps's text.  A string of the document
+# whose spelling holds _HOLE_JSON adds a split that no array fills, and
+# _chunks raises ValueError.
+_HOLE = "\0float array\0"
+_HOLE_JSON = json.dumps(_HOLE)
 
 
 # Rows per spelling block: bounds the writer's temporaries to a few MB.
@@ -349,7 +310,7 @@ ROWS_PER_FILL = 4096
 
 
 def _spell_arrays(arrays) -> list[list[bytes]]:
-    """For each (array, inner, _) of arrays, its rows as json.dumps(indent=2)
+    """For each (array, inner) of arrays, its rows as json.dumps(indent=2)
     writes them, each a list of jfloat values at the depth whose line break
     and indentation is inner, separated by commas: the text between the
     brackets of the list of rows, as byte strings.
@@ -359,7 +320,7 @@ def _spell_arrays(arrays) -> list[list[bytes]]:
     small matrices costs a few numpy passes, not a few per matrix."""
     spelled: list[list[bytes]] = [[] for _ in arrays]
     layouts: dict[tuple[str, int], list[int]] = {}
-    for i, (a, inner, _) in enumerate(arrays):
+    for i, (a, inner) in enumerate(arrays):
         layouts.setdefault((inner, a.shape[1]), []).append(i)
     for (inner, cols), ids in layouts.items():
         segments = []  # (array index, first row, end row) in the block
@@ -489,7 +450,7 @@ def _spell_decimals(x: np.ndarray) -> np.ndarray:
     (NaN, infinities, larger integers, values of magnitude 1 or more,
     3-digit exponents, the tie band, s outside [1e11, 1e12] from a log10
     off by one, and values that round up to 1) is spelled by
-    _floatstr(jfloat(v)), once per distinct bit pattern.
+    json.dumps(jfloat(v)), once per distinct bit pattern.
     """
     mag = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -521,7 +482,7 @@ def _spell_decimals(x: np.ndarray) -> np.ndarray:
     slow = np.flatnonzero(~decimal)
     if slow.size:
         bits, inverse = np.unique(x[slow].view(np.uint64), return_inverse=True)
-        words = [_floatstr(jfloat(v)).encode() for v in bits.view(float).tolist()]
+        words = [json.dumps(jfloat(v)).encode() for v in bits.view(float).tolist()]
         out[slow] = np.array(words, dtype=f"S{8 * _FIELD}").view(np.uint64).reshape(-1, _FIELD)[inverse]
     return out
 

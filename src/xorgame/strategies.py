@@ -98,20 +98,32 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
-def bias(g: XorGame, s: Strategy) -> float:
-    """Success bias Σ_st G_st ⟨ψ| A_s ⊗ B_t |ψ⟩."""
+def require_game_shape(g: XorGame, s: Strategy) -> Strategy:
+    """s itself if it has one observable per question of g;
+    DimensionMismatch otherwise."""
     if len(s.alice) != g.n_alice or len(s.bob) != g.n_bob:
         raise DimensionMismatch(
             f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
             f"game wants {g.n_alice}x{g.n_bob}"
         )
+    return s
+
+
+def _correlations(alice: np.ndarray, bob: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """⟨ψ|A_s⊗B_t|ψ⟩ for the (n, d_A, d_A) and (k, d_B, d_B) observable
+    stacks and M_ψ, as an n × k complex matrix."""
+    # ⟨ψ|A_s⊗B_t|ψ⟩ = tr(M†A_sM·B_tᵀ) = Σ_bb' (M†A_sM)_bb' (B_t)_bb'
+    left = m.conj().T @ (alice @ m)
+    return left.reshape(len(alice), -1) @ bob.reshape(len(bob), -1).T
+
+
+def bias(g: XorGame, s: Strategy) -> float:
+    """Success bias Σ_st G_st ⟨ψ| A_s ⊗ B_t |ψ⟩."""
+    require_game_shape(g, s)
     m = vec_to_matrix(s.state, s.d_A, s.d_B)
     alice = np.stack([o.matrix for o in s.alice])
     bob = np.stack([o.matrix for o in s.bob])
-    # ⟨ψ|A_s⊗B_t|ψ⟩ = tr(M†A_sM·B_tᵀ) = Σ_bb' (M†A_sM)_bb' (B_t)_bb'
-    left = m.conj().T @ (alice @ m)
-    corr = left.reshape(g.n_alice, -1) @ bob.reshape(g.n_bob, -1).T
-    total = (g.matrix * corr).sum()
+    total = (g.matrix * _correlations(alice, bob, m)).sum()
     if abs(total.imag) > 1e-8:
         raise NonRealBias(f"bias has imaginary part {total.imag:.3e}")
     return float(total.real)
@@ -215,47 +227,33 @@ def tsirelson_strategy(z, n: int, m: int) -> Strategy:
     return Strategy(d, d, tuple(alice), tuple(bob), maximally_entangled(d))
 
 
-def _pm_projectors(o: Observable) -> tuple[np.ndarray, np.ndarray]:
-    w, v = hermitian_eig(o.matrix)
-    plus = v[:, w >= 0.0]
-    minus = v[:, w < 0.0]
-    return plus @ plus.conj().T, minus @ minus.conj().T
-
-
 def simulate(g: XorGame, s: Strategy, rounds: int, seed: int) -> tuple[float, float]:
     """Monte-Carlo referee: sample questions from |G|, outcomes from the Born rule.
 
     Returns the empirical bias (average of sign(G_st)·a·b) and its standard
-    error.  Joint outcome probabilities are ‖(P_a ⊗ Q_b)ψ‖²; measuring Alice
-    first and Bob on the post-measurement state gives the same table.
+    error.  With the projectors (I ± A_s)/2 and (I ± B_t)/2, the joint
+    outcome probabilities are (1 + a⟨A_s⟩ + b⟨B_t⟩ + ab⟨A_s⊗B_t⟩)/4, read
+    off the correlations of the observables extended by I.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds!r}")
-    if len(s.alice) != g.n_alice or len(s.bob) != g.n_bob:
-        raise DimensionMismatch("strategy does not fit the game")
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    questions = np.argwhere(g.matrix != 0.0)
-    probs = np.array([abs(g.matrix[si, ti]) for si, ti in questions])
-    probs = probs / probs.sum()
-    alice_proj = [_pm_projectors(o) for o in s.alice]
-    bob_proj = [_pm_projectors(o) for o in s.bob]
-    outcome_cdf = np.empty((len(questions), 4))
-    outcome_val = np.empty((len(questions), 4))
-    for qi, (si, ti) in enumerate(questions):
-        sign = 1.0 if g.matrix[si, ti] > 0 else -1.0
-        table = []
-        for a, pa in zip((1.0, -1.0), alice_proj[si]):
-            am = pa @ mpsi
-            for b, qb in zip((1.0, -1.0), bob_proj[ti]):
-                p = frobenius(am @ qb.T) ** 2
-                table.append((p, sign * a * b))
-        p4 = np.array([t[0] for t in table])
-        p4 = np.clip(p4, 0.0, None)
-        p4 = p4 / p4.sum()
-        outcome_cdf[qi] = np.cumsum(p4)
-        outcome_val[qi] = [t[1] for t in table]
+    require_game_shape(g, s)
+    # the last row and column are the marginals ⟨A_s⊗I⟩ and ⟨I⊗B_t⟩
+    corr = _correlations(
+        np.stack([o.matrix for o in s.alice] + [np.eye(s.d_A)]),
+        np.stack([o.matrix for o in s.bob] + [np.eye(s.d_B)]),
+        vec_to_matrix(s.state, s.d_A, s.d_B),
+    ).real
+    si, ti = np.nonzero(g.matrix)
+    w = g.matrix[si, ti]
+    # outcomes (a, b) in the order (+,+), (+,−), (−,+), (−,−)
+    a, b = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    p4 = 1.0 + corr[si, -1, None] * a + corr[-1, ti, None] * b + corr[si, ti, None] * a * b
+    p4 = np.clip(p4, 0.0, None)
+    outcome_cdf = np.cumsum(p4 / p4.sum(axis=1, keepdims=True), axis=1)
+    outcome_val = np.sign(w)[:, None] * a * b
     rng = np.random.default_rng(seed)
-    q_draw = rng.choice(len(questions), size=rounds, p=probs)
+    q_draw = rng.choice(len(w), size=rounds, p=np.abs(w) / np.abs(w).sum())
     u = rng.random(rounds)
     idx = (u[:, None] > outcome_cdf[q_draw]).sum(axis=1)
     vals = outcome_val[q_draw, np.clip(idx, 0, 3)]

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import XorGame, chsh_game, chshn_pair_order
+from .games import NORMALIZATION_TOL, XorGame, chsh_game, chshn_matrix, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
     frobenius,
@@ -82,21 +82,34 @@ class _Reference:
 
     ybar: np.ndarray
     signs: np.ndarray
+    game: np.ndarray
 
 
 @functools.lru_cache(maxsize=1)
 def _reference(n: int) -> _Reference:
     """The reference data for CHSH(n), built from the raw canonical Alice
-    matrices; its arrays are read-only.  One entry serves every report of a
-    run of equal n, such as a sweep's cells."""
+    matrices, with the CHSH(n) game matrix; its arrays are read-only.  One
+    entry serves every report of a run of equal n, such as a sweep's cells."""
     mats = np.stack(_canonical_alice(n))
     ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
     signs = np.ones(1)
     for _ in range(n - 1):
         signs = np.concatenate((signs, -signs))
-    ybar.flags.writeable = False
-    signs.flags.writeable = False
-    return _Reference(ybar, signs)
+    game = chshn_matrix(n)
+    for a in (ybar, signs, game):
+        a.flags.writeable = False
+    return _Reference(ybar, signs, game)
+
+
+def require_chshn_game(g: XorGame, n: int) -> XorGame:
+    """g itself if it is the CHSH(n) game, entry by entry within
+    NORMALIZATION_TOL; DimensionMismatch or ValueError otherwise."""
+    if g.matrix.shape != (n, n * (n - 1)):
+        raise DimensionMismatch(f"game is {g.n_alice}x{g.n_bob}, CHSH({n}) is {n}x{n * (n - 1)}")
+    dev = np.abs(g.matrix - _reference(n).game).max()
+    if dev > NORMALIZATION_TOL:
+        raise ValueError(f"game is not CHSH({n}): an entry deviates from it by {dev:.3e}")
+    return g
 
 
 def canonical_vector_family(n: int) -> list[np.ndarray]:
@@ -154,9 +167,11 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     + for a < b and − for a > b.  That is one GEMM per observable and none
     on the reference side.
 
-    ε is the bias deficit relative to 1/√2; residuals are compared against
+    g must be CHSH(n) (require_chshn_game): ε is the bias deficit relative
+    to 1/√2, the CHSH(n) optimum; residuals are compared against
     12n²√ε (Alice) and 17n²√ε (Bob) with a 1e-12 floating-point margin.
     """
+    require_chshn_game(g, n)
     chains = _state_chains(s, n)
     ref = _reference(n)
     t = _intertwiner(chains, ref)

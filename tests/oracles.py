@@ -1,7 +1,9 @@
-"""The paper's chain definitions, one product and one sign at a time.
+"""The paper's chain definitions, one product and one sign at a time, and
+the Born-rule referee, one projector product at a time.
 
-The library computes all chain products at once (`structure._chain_products`)
-and reads the insertion signs from one sign vector (`structure._reference`);
+The library computes all chain products at once (`structure._chain_products`),
+reads the insertion signs from one sign vector (`structure._reference`) and
+takes the outcome statistics of `strategies.simulate` from the correlations;
 these direct definitions are the oracles the tests compare them with.
 """
 import itertools
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xorgame.linalg import DimensionMismatch
+from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
 from xorgame.strategies import Observable
 from xorgame.structure import IndexOutOfRange
 
@@ -62,3 +64,42 @@ def insertion_sign_right(j: BitString, k: int) -> int:
     if not 1 <= k <= j.n:
         raise IndexOutOfRange(f"k={k} outside 1..{j.n}")
     return -1 if sum(j.bits[k:]) % 2 else 1
+
+
+def _pm_projectors(o: Observable) -> tuple[np.ndarray, np.ndarray]:
+    w, v = hermitian_eig(o.matrix)
+    plus = v[:, w >= 0.0]
+    minus = v[:, w < 0.0]
+    return plus @ plus.conj().T, minus @ minus.conj().T
+
+
+def born_simulate(g, s, rounds: int, seed: int) -> tuple[float, float]:
+    """strategies.simulate with each joint outcome probability taken as
+    ‖(P_a ⊗ Q_b)ψ‖² from the eigenprojectors of the observables, question
+    by question; the same random draws in the same order."""
+    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    questions = np.argwhere(g.matrix != 0.0)
+    probs = np.array([abs(g.matrix[si, ti]) for si, ti in questions])
+    probs = probs / probs.sum()
+    alice_proj = [_pm_projectors(o) for o in s.alice]
+    bob_proj = [_pm_projectors(o) for o in s.bob]
+    outcome_cdf = np.empty((len(questions), 4))
+    outcome_val = np.empty((len(questions), 4))
+    for qi, (si, ti) in enumerate(questions):
+        sign = 1.0 if g.matrix[si, ti] > 0 else -1.0
+        table = []
+        for a, pa in zip((1.0, -1.0), alice_proj[si]):
+            am = pa @ mpsi
+            for b, qb in zip((1.0, -1.0), bob_proj[ti]):
+                p = frobenius(am @ qb.T) ** 2
+                table.append((p, sign * a * b))
+        p4 = np.clip(np.array([t[0] for t in table]), 0.0, None)
+        outcome_cdf[qi] = np.cumsum(p4 / p4.sum())
+        outcome_val[qi] = [t[1] for t in table]
+    rng = np.random.default_rng(seed)
+    q_draw = rng.choice(len(questions), size=rounds, p=probs)
+    u = rng.random(rounds)
+    idx = (u[:, None] > outcome_cdf[q_draw]).sum(axis=1)
+    vals = outcome_val[q_draw, np.clip(idx, 0, 3)]
+    mean = float(vals.mean())
+    return mean, float(np.sqrt(max(0.0, 1.0 - mean * mean) / rounds))

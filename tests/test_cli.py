@@ -10,7 +10,7 @@ import pytest
 
 import xorgame.cli as cli
 from xorgame import serialize as sz
-from xorgame.games import symmetrize
+from xorgame.games import chsh_game, new_game, symmetrize
 from xorgame.sdp import solve
 from xorgame.structure import IntertwinerReport, StructureReport, verify_optimal_form
 
@@ -570,6 +570,35 @@ class TestWrongTypedFieldsAreInputErrors:
     )
     def test_strategy_of_another_n(self, capsys, chsh2, argv):
         self._assert_input_error(capsys, chsh2["can"], [a.format(**chsh2) for a in argv])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["strategy", "bias", "{g}", "{can3}"],
+         ["strategy", "simulate", "{g}", "{can3}", "--rounds", "10", "--seed", "0"],
+         ["relations", "residual", "{g}", "{can3}", "{rel}"]],
+        ids=["strategy-bias", "strategy-simulate", "relations-residual"],
+    )
+    def test_strategy_that_does_not_fit_the_game(self, capsys, chsh2, tmp_path, argv):
+        can3 = str(tmp_path / "can3.json")
+        assert run(capsys, "strategy", "canonical", "--n", "3", "--out", can3)[0] == 0
+        code, out, err = run(capsys, *(a.format(can3=can3, **chsh2) for a in argv))
+        assert (code, out) == (1, "")
+        assert err == f"xorgame: error: {can3}: strategy has 3x6 observables, game wants 2x2\n"
+
+    @pytest.mark.parametrize("game", ["random", "negated", "chsh2"])
+    def test_intertwiner_report_game_that_is_not_chshn(self, capsys, chsh2, tmp_path, game):
+        can3 = str(tmp_path / "can3.json")
+        assert run(capsys, "strategy", "canonical", "--n", "3", "--out", can3)[0] == 0
+        if game == "chsh2":
+            bad = chsh2["g"]
+        else:
+            rng = np.random.default_rng(5)
+            m = rng.standard_normal((3, 6)) if game == "random" else -chsh_game(3)[0].matrix
+            bad = str(tmp_path / "game.json")
+            sz.write_json(sz.game_to_dict(new_game(m, normalize=True)), bad)
+        code, out, err = run(capsys, "intertwiner", "report", bad, can3, "--n", "3")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"xorgame: error: {bad}: game is ") and "CHSH(3)" in err
 
     @pytest.mark.parametrize(
         "argv,doc",

@@ -232,14 +232,24 @@ class TestDumpsMatchesJsonDumps:
     @pytest.mark.parametrize(
         "doc",
         [[], {}, [[]], {"a": {}}, [[], {}], "ünïcödé λ ✓", {"κλειδί": ["ω", None]},
-         [True, False, None, 0, -7, 2**80], [1.0, 2, 3.5], (1.0, -0.0), [math.nan, 1.0]],
+         [True, False, None, 0, -7, 2**80], [1.0, 2, 3.5], (1.0, -0.0), [math.nan, 1.0],
+         {1: 2.0}],
     )
     def test_edge_documents(self, doc):
         assert sz.dumps(doc) == oracle(doc)
 
-    @pytest.mark.parametrize("bad", [{1, 2}, 1j, np.int64(3), b"x", np.zeros(3), {1: 2.0}])
+    @pytest.mark.parametrize("shape", [(0, 2), (2, 0)])
+    def test_empty_arrays(self, shape):
+        v = np.zeros(shape)
+        assert sz.dumps({"a": [v, 1.5]}) == oracle({"a": [v.tolist(), 1.5]})
+
+    @pytest.mark.parametrize("doc", [[sz._HOLE], {"m": np.eye(2), "s": sz._HOLE}, {sz._HOLE: 1}])
+    def test_rejects_a_string_equal_to_the_array_marker(self, doc):
+        with pytest.raises(ValueError, match="marker"):
+            sz.dumps(doc)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, 1j, np.int64(3), b"x", np.zeros(3)])
     def test_rejects_what_json_cannot_write(self, bad):
-        # dict keys must be strings; json.dumps would write {1: ...} as {"1": ...}
         with pytest.raises(TypeError):
             sz.dumps({"x": [bad]})
 

@@ -23,6 +23,7 @@ from xorgame.strategies import (
 )
 
 from conftest import near_optimal_variants, random_observable
+from oracles import born_simulate
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -287,6 +288,18 @@ class TestSimulate:
         g, _ = chsh_game(2)
         with pytest.raises(ValueError):
             simulate(g, canonical_chshn(2), 0, seed=0)
+
+    def test_rejects_a_strategy_that_does_not_fit(self):
+        g, _ = chsh_game(2)
+        with pytest.raises(DimensionMismatch, match="strategy has 3x6 observables, game wants 2x2"):
+            simulate(g, canonical_chshn(3), 10, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_born_rule_oracle(self, n):
+        g, _ = chsh_game(n)
+        for s in [canonical_chshn(n), *near_optimal_variants(n)]:
+            for seed in range(3):
+                assert simulate(g, s, 5000, seed) == born_simulate(g, s, 5000, seed)
 
 
 class TestEmbedWithJunk:

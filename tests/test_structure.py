@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import xorgame.structure as structure
-from xorgame.games import InvalidN, chsh_game, chshn_pair_order
+from xorgame.games import InvalidN, chsh_game, chshn_pair_order, new_game
 from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
     Observable,
@@ -25,6 +25,7 @@ from xorgame.structure import (
     intertwiner_report,
     intertwiner_sweep,
     normalization_lemma_check,
+    require_chshn_game,
     verify_optimal_form,
 )
 
@@ -298,6 +299,31 @@ class TestIntertwinerReport:
         s = perturb(canonical_chshn(n), 0.2, seed=3)
         rep = intertwiner_report(g, s, n)
         assert rep.epsilon == pytest.approx(1.0 - bias(g, s) * RT2, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "negated"])
+    def test_rejects_a_game_that_is_not_chshn(self, kind):
+        # ε compares the bias with CHSH(3)'s optimum 1/√2, so with any other
+        # game the bounds would check nothing
+        rng = np.random.default_rng(5)
+        m = rng.standard_normal((3, 6)) if kind == "random" else -chsh_game(3)[0].matrix
+        s = perturb(canonical_chshn(3), 0.3, seed=0)
+        with pytest.raises(ValueError, match=r"game is not CHSH\(3\)"):
+            intertwiner_report(new_game(m, normalize=True), s, 3)
+
+    def test_rejects_a_chshn_game_of_another_n(self):
+        with pytest.raises(DimensionMismatch, match=r"game is 2x2, CHSH\(3\) is 3x6"):
+            intertwiner_report(chsh_game(2)[0], canonical_chshn(3), 3)
+
+    def test_accepts_chshn_within_the_normalization_tolerance(self):
+        g = chsh_game(3)[0]
+        m = g.matrix.copy()
+        m[0, 0] += 5e-13
+        m[1, 0] -= 5e-13
+        assert require_chshn_game(new_game(m), 3).matrix[0, 0] == m[0, 0]
+        m[0, 0] += 1e-12
+        m[1, 0] -= 1e-12
+        with pytest.raises(ValueError, match="deviates"):
+            require_chshn_game(new_game(m), 3)
 
 
 def _reshape_residuals(s, n, t):
