@@ -159,9 +159,11 @@ def residual(s: Strategy, rel: RelationSystem) -> float:
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     u = np.array([uk for uk, _ in rel.pairs]).reshape(rel.r, rel.n_alice)
     v = np.array([vk for _, vk in rel.pairs]).reshape(rel.r, rel.n_bob)
-    ua = np.tensordot(u, np.stack([o.matrix for o in s.alice]), axes=1)
-    vb = np.tensordot(v, np.stack([o.matrix for o in s.bob]), axes=1)
-    diff = ua @ mpsi - mpsi @ vb.transpose(0, 2, 1)
+    # (u_k·A⃗ ⊗ I)|ψ⟩ = Σ_s u_ks·A_s M_ψ and (I ⊗ v_k·B⃗)|ψ⟩ = Σ_t v_kt·M_ψ B_tᵀ:
+    # one product per observable, then one per side over the pairs
+    am = np.stack([o.matrix for o in s.alice]) @ mpsi
+    mb = mpsi @ np.stack([o.matrix for o in s.bob]).transpose(0, 2, 1)
+    diff = u @ am.reshape(rel.n_alice, -1) - v @ mb.reshape(rel.n_bob, -1)
     return float(np.vdot(diff, diff).real)
 
 

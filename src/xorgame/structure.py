@@ -8,11 +8,14 @@ strategy into the given one with Frobenius-norm error O(n²√ε); this module
 builds T, measures every residual, and checks the quantitative bounds.
 The residuals are taken in the 2ⁿ chain basis T is built from: the
 insertion signs say where each canonical observable sends each reference
-vector, so no product touches the reference side.
+vector, so no product touches the reference side.  Bob's n(n−1) residuals
+come from one projection onto the span of the chains, about 2n chain-sized
+GEMMs, and are exact to about 1e-16; ε comes from the relation residual.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -27,12 +30,12 @@ from .linalg import (
     sign_normalize,
     vec_to_matrix,
 )
+from .relations import RelationSystem, chshn_relations_form2, residual
 from .strategies import (
     Observable,
     Strategy,
     _canonical_alice,
     _matched_combinations,
-    bias,
     canonical_chshn,
     perturb,
 )
@@ -75,30 +78,51 @@ class _Reference:
         _chain_products order, the insertion signs of anticommuting
         factors, Õ_t·Ã^j = σ_t(j)·Ã^(j⊕e_t) and Ã^j·Õ_t = τ_t(j)·Ã^(j⊕e_t),
         are τ_t(j) = (−1)^(set bits after t) = signs[j mod 2^(n−t)], which
-        the Bob residuals read, and σ_t(j) = (−1)^(set bits before t) =
-        signs[j >> (n−t+1)], which the Alice residuals build up by negating
-        halves instead.
+        taus holds for the Bob residuals, and σ_t(j) = (−1)^(set bits
+        before t) = signs[j >> (n−t+1)], which the Alice residuals build up
+        by negating halves instead.
+    taus: taus[t−1] is τ_t/√2 broadcast over the n bit axes of j and one
+        trailing axis, the factor of the flipped term F_t.
+    targets: row k holds the coefficients of F_1 … F_n in the target
+        ±F_a + F_b of Bob column k = (a, b) of chshn_pair_order(n).
+    game: the CHSH(n) game matrix.
+    relations: the form-2 relation system, whose residual gives ε.
     """
 
     ybar: np.ndarray
     signs: np.ndarray
+    taus: tuple[np.ndarray, ...]
+    targets: np.ndarray
     game: np.ndarray
+    relations: RelationSystem
 
 
 @functools.lru_cache(maxsize=1)
 def _reference(n: int) -> _Reference:
     """The reference data for CHSH(n), built from the raw canonical Alice
-    matrices, with the CHSH(n) game matrix; its arrays are read-only.  One
-    entry serves every report of a run of equal n, such as a sweep's cells."""
+    matrices, with the CHSH(n) game matrix and form-2 relations; its arrays
+    are read-only.  One entry serves every report of a run of equal n, such
+    as a sweep's cells."""
     mats = np.stack(_canonical_alice(n))
     ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
     signs = np.ones(1)
     for _ in range(n - 1):
         signs = np.concatenate((signs, -signs))
+    axes = (2,) * n + (1,)
+    taus = tuple(
+        np.broadcast_to(signs[: 2 ** (n - t)].reshape(axes[t:]) / np.sqrt(2.0), axes)
+        for t in range(1, n + 1)
+    )
+    pairs = np.array(chshn_pair_order(n)) - 1
+    targets = np.zeros((len(pairs), n))
+    a, b = pairs.T
+    targets[np.arange(len(pairs)), b] = 1.0
+    targets[np.arange(len(pairs)), a] = np.sign(b - a)
     game = chshn_matrix(n)
-    for a in (ybar, signs, game):
-        a.flags.writeable = False
-    return _Reference(ybar, signs, game)
+    relations = chshn_relations_form2(n)
+    for arr in (ybar, signs, targets, game, relations.y, *itertools.chain(*relations.pairs)):
+        arr.flags.writeable = False
+    return _Reference(ybar, signs, taus, targets, game, relations)
 
 
 def require_chshn_game(g: XorGame, n: int) -> XorGame:
@@ -117,11 +141,31 @@ def canonical_vector_family(n: int) -> list[np.ndarray]:
     return list(_reference(n).ybar.conj())
 
 
-def _state_chains(s: Strategy, n: int) -> np.ndarray:
-    """C_j = A^j·M_ψ for every bit string j, as a (2ⁿ, d_A, d_B) stack."""
+def _state_chains(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chain products A^j, as a (2ⁿ, d_A, d_A) stack, and the chains
+    C_j = A^j·M_ψ, as a (2ⁿ, d_A, d_B) stack, for every bit string j."""
     require_chshn_shape(s, n)
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    return _chain_products(np.stack([o.matrix for o in s.alice])) @ mpsi
+    prods = _chain_products(np.stack([o.matrix for o in s.alice]))
+    return prods, prods @ vec_to_matrix(s.state, s.d_A, s.d_B)
+
+
+def _chain_span(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chains C with Q of orthonormal columns and R such that C = Q·R as
+    a 2ⁿd_A × d_B matrix, from the chain-product stack P = [A^j], of which
+    C = P·M_ψ.
+
+    A^0 = I and every A^j is unitary, so PᴴP = Σ_j (A^j)ᴴA^j is 2ⁿ·I up to
+    the observables' tolerance: P has condition number 1 to that tolerance,
+    and with PᴴP = VΛVᴴ, Q = P·V·Λ^(−1/2) is orthonormal to rounding, as a
+    Householder QR would give it, in two GEMMs.  Q spans P, which contains
+    the span of the chains whatever the rank of M_ψ, and R = Λ^(1/2)·Vᴴ·M_ψ.
+    """
+    prods, chains = _state_chains(s, n)
+    p = prods.reshape(-1, s.d_A)
+    lam, v = np.linalg.eigh(p.conj().T @ p)
+    root = np.sqrt(lam)
+    r = (root[:, None] * v.conj().T) @ vec_to_matrix(s.state, s.d_A, s.d_B)
+    return chains, p @ (v / root), r
 
 
 def _intertwiner(chains: np.ndarray, ref: _Reference) -> np.ndarray:
@@ -136,7 +180,7 @@ def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
     ‖T‖_F = 1 for every valid strategy.
     """
     ref = _reference(n)
-    return _intertwiner(_state_chains(s, n), ref)
+    return _intertwiner(_state_chains(s, n)[1], ref)
 
 
 @dataclass(frozen=True)
@@ -162,68 +206,32 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     the reference vectors are orthonormal,
     so with j⊕e_i the string j with bit i flipped
       Alice i:    2ⁿ·res² = Σ_j ‖A_i C_j − σ_i(j) C_{j⊕e_i}‖²,
-      Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±τ_a(j) C_{j⊕e_a}
-                                             + τ_b(j) C_{j⊕e_b})/√2‖²,
-    + for a < b and − for a > b.  That is one GEMM per observable and none
-    on the reference side.
+      Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±F_a + F_b)_j‖²,
+                  F_t = τ_t(j)·C_{j⊕e_t}/√2,
+    + for a < b and − for a > b.  Alice takes one GEMM per observable.  Bob
+    takes a projection: with the chain stack X = [C_j] = Q·R, where Q has
+    orthonormal columns whose span contains X's (_chain_span), and with
+    G_t = QᴴF_t and E_t = F_t − Q·G_t,
+      2ⁿ·res² = ‖R·B_abᵀ − (G_b ± G_a)‖² + H_aa + H_bb ± 2H_ab,
+    H the real Gram matrix of the E_t, so n(n−1) columns cost about 2n
+    chain-sized GEMMs.  Both terms are formed from direct differences, so
+    they carry an absolute error of about 1e-16: a canonical strategy gets
+    Alice residuals of exactly 0 and Bob residuals of about 1e-16.
 
-    g must be CHSH(n) (require_chshn_game): ε is the bias deficit relative
-    to 1/√2, the CHSH(n) optimum; residuals are compared against
-    12n²√ε (Alice) and 17n²√ε (Bob) with a 1e-12 floating-point margin.
+    g is checked to be CHSH(n) (require_chshn_game), so that a caller such as
+    the CLI can name a wrong game file; ε is the CHSH(n) form-2 relation
+    residual over 1/√2, which by the residual identity is the bias deficit
+    relative to the optimum 1/√2, summed from squares so that nothing
+    cancels.  Residuals are compared against 12n²√ε (Alice) and 17n²√ε
+    (Bob) with a 1e-12 floating-point margin.
     """
     require_chshn_game(g, n)
-    chains = _state_chains(s, n)
     ref = _reference(n)
+    eps = residual(s, ref.relations) / TSIRELSON_BIAS
+    chains, *span = _chain_span(s, n)
+    bob_res = _bob_residuals(chains, *span, s, n, ref)
+    alice_res = _alice_residuals(chains, s, n)
     t = _intertwiner(chains, ref)
-    eps = max(0.0, 1.0 - bias(g, s) / TSIRELSON_BIAS)
-    d_a, d_b = s.d_A, s.d_B
-    scale = float(np.sqrt(2.0**n))
-    # The differences are formed directly: ‖X‖² − 2Re⟨X,Y⟩ + ‖Y‖² would
-    # cancel to rounding noise where the residual is near zero.  Three
-    # buffers the size of the chain block serve every observable.
-    ours = np.ascontiguousarray(chains.transpose(1, 0, 2))
-    signed = ours.copy()
-    lhs = np.empty(chains.size, dtype=complex)
-
-    # Alice, in the layout (a, j, b) where each A_i is one GEMM.  signed
-    # holds σ_i(j)·C_j; since σ_i(j⊕e_i) = σ_i(j), its reversed view along
-    # bit i is the subtrahend, and σ_{i+1}(j) = σ_i(j)·(−1)^(j_i) flips the
-    # half with bit i set once observable i is done.
-    alice_res = []
-    for i, o in enumerate(s.alice):
-        split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
-        np.matmul(o.matrix, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
-        diff = lhs.reshape(split)
-        np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
-        alice_res.append(frobenius(lhs) / scale)
-        signed.reshape(split)[:, :, 1] *= -1
-
-    # Bob, in the layout (j, a, b) of the chains, where each B_abᵀ is one
-    # GEMM.  Column (a, b) has the target ±F_a + F_b, with its matched sign
-    # and the flipped terms F_t = τ_t(j)·C_{j⊕e_t}/√2.  Columns col and
-    # col ^ 1 share F_min(a,b) and F_max(a,b), filled into the two freed
-    # buffers at the column with a < b; F_min stays while min(a, b) does.
-    rows = chains.reshape(-1, d_b)
-    f_lo, f_hi = ours.reshape(-1), signed.reshape(-1)
-
-    def fill(out: np.ndarray, t: int) -> None:
-        split = (2 ** (t - 1), 2, 2 ** (n - t), d_a * d_b)
-        tau = ref.signs[: split[2], None] / np.sqrt(2.0)
-        np.multiply(chains.reshape(split)[:, ::-1], tau, out=out.reshape(split))
-
-    bob_res = []
-    filled = None
-    for col, (a, b) in enumerate(chshn_pair_order(n)):
-        if a < b:
-            if a != filled:
-                fill(f_lo, a)
-                filled = a
-            fill(f_hi, b)
-        np.matmul(rows, s.bob[col].matrix.T, out=lhs.reshape(rows.shape))
-        np.subtract(lhs, f_lo, out=lhs)
-        (np.subtract if a < b else np.add)(lhs, f_hi, out=lhs)
-        bob_res.append(frobenius(lhs) / scale)
-
     a_bound = 12.0 * n * n * np.sqrt(eps)
     b_bound = 17.0 * n * n * np.sqrt(eps)
     holds = all(r <= a_bound + 1e-12 for r in alice_res) and all(
@@ -232,13 +240,89 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     return IntertwinerReport(
         t=t,
         frob_norm=frobenius(t),
-        alice_residuals=tuple(alice_res),
-        bob_residuals=tuple(bob_res),
+        alice_residuals=alice_res,
+        bob_residuals=bob_res,
         epsilon=eps,
         alice_bound=a_bound,
         bob_bound=b_bound,
         bounds_hold=holds,
     )
+
+
+def _alice_residuals(chains: np.ndarray, s: Strategy, n: int) -> tuple[float, ...]:
+    """Alice's residuals, in the layout (a, j, b) where each A_i is one GEMM.
+
+    The difference is formed directly: ‖X‖² − 2Re⟨X,Y⟩ + ‖Y‖² would cancel
+    to rounding noise where the residual is near zero.  signed holds
+    σ_i(j)·C_j; since σ_i(j⊕e_i) = σ_i(j), its reversed view along bit i is
+    the subtrahend, and σ_{i+1}(j) = σ_i(j)·(−1)^(j_i) flips the half with
+    bit i set once observable i is done.
+    """
+    d_a, d_b = s.d_A, s.d_B
+    scale = float(np.sqrt(2.0**n))
+    ours = np.ascontiguousarray(chains.transpose(1, 0, 2))
+    signed = ours.copy()
+    lhs = np.empty(chains.size, dtype=complex)
+    res = []
+    for i, o in enumerate(s.alice):
+        split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
+        np.matmul(o.matrix, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
+        diff = lhs.reshape(split)
+        np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
+        res.append(frobenius(lhs) / scale)
+        signed.reshape(split)[:, :, 1] *= -1
+    return tuple(res)
+
+
+# Chain stacks up to this size (n ≤ 6 at the canonical dimensions) are
+# projected in one block; larger ones in four, along the two leading bits of
+# j, so that the E_t stack holds n/4 chain stacks instead of n.
+_ONE_BLOCK_BYTES = 2**18
+
+
+def _bob_residuals(
+    chains: np.ndarray, q: np.ndarray, r: np.ndarray, s: Strategy, n: int, ref: _Reference
+) -> tuple[float, ...]:
+    """Bob's residuals by projection onto the span of Q, with the chains
+    C = Q·R (see intertwiner_report), one block of the E_t rows at a time."""
+    d_a, d_b = s.d_A, s.d_B
+    lead = 0 if chains.nbytes <= _ONE_BLOCK_BYTES else 2
+    blocks = list(itertools.product((0, 1), repeat=lead))
+    rows = q.shape[0] >> lead
+    bits = chains.reshape((2,) * n + (d_a * d_b,))
+    e = np.empty((n, rows, d_b), dtype=complex)
+
+    def fill(block: tuple[int, ...]) -> None:
+        # F_t on the rows of a block: the chains with the axis of bit t
+        # reversed, times τ_t/√2
+        for t, tau in enumerate(ref.taus):
+            flipped = bits[(slice(None),) * t + (slice(None, None, -1),)]
+            np.multiply(flipped[block], tau[block], out=e[t].reshape(bits.shape[lead:]))
+
+    # G_t = QᴴF_t, summed over the blocks
+    g = np.zeros((n,) + r.shape, dtype=complex)
+    for i, block in enumerate(blocks):
+        fill(block)
+        g += q[i * rows : (i + 1) * rows].conj().T @ e
+    # E_t = F_t − Q·G_t and their Gram matrix, the blocks in reverse so that
+    # the block the first loop ended on needs no second fill.
+    h = np.zeros((n, n))
+    buf = np.empty((rows, d_b), dtype=complex)
+    for i in reversed(range(len(blocks))):
+        if i < len(blocks) - 1:
+            fill(blocks[i])
+        for t in range(n):
+            np.matmul(q[i * rows : (i + 1) * rows], g[t], out=buf)
+            np.subtract(e[t], buf, out=e[t])
+        ev = e.reshape(n, -1).view(float)
+        h += ev @ ev.T
+
+    # The first term, transposed: row k is B_k·Rᵀ − Σ_t targets[k, t]·G_tᵀ.
+    bob = np.concatenate([o.matrix for o in s.bob])
+    g_t = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)
+    inside = ((bob @ r.T).reshape(len(s.bob), -1) - ref.targets @ g_t).view(float)
+    total = (inside * inside).sum(axis=1) + ((ref.targets @ h) * ref.targets).sum(axis=1)
+    return tuple((np.sqrt(np.maximum(total, 0.0)) / np.sqrt(2.0**n)).tolist())
 
 
 def intertwiner_sweep(

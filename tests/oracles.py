@@ -1,19 +1,22 @@
-"""The paper's chain definitions, one product and one sign at a time, and
-the Born-rule referee, one projector product at a time.
+"""The paper's chain definitions, one product and one sign at a time, the
+Born-rule referee, one projector product at a time, and Bob's intertwiner
+residuals, one GEMM and one direct difference per observable.
 
 The library computes all chain products at once (`structure._chain_products`),
-reads the insertion signs from one sign vector (`structure._reference`) and
-takes the outcome statistics of `strategies.simulate` from the correlations;
-these direct definitions are the oracles the tests compare them with.
+reads the insertion signs from one sign vector (`structure._reference`),
+takes the outcome statistics of `strategies.simulate` from the correlations
+and Bob's residuals from one projection onto the span of the chains; these
+direct definitions are the oracles the tests compare them with.
 """
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from xorgame.games import chshn_pair_order
 from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
 from xorgame.strategies import Observable
-from xorgame.structure import IndexOutOfRange
+from xorgame.structure import IndexOutOfRange, _reference, _state_chains
 
 
 @dataclass(frozen=True)
@@ -103,3 +106,25 @@ def born_simulate(g, s, rounds: int, seed: int) -> tuple[float, float]:
     vals = outcome_val[q_draw, np.clip(idx, 0, 3)]
     mean = float(vals.mean())
     return mean, float(np.sqrt(max(0.0, 1.0 - mean * mean) / rounds))
+
+
+def direct_bob_residuals(s, n: int) -> tuple[float, ...]:
+    """Bob's residuals of structure.intertwiner_report in the 2ⁿ chain basis,
+    column by column: 2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±F_a + F_b)_j‖² with
+    F_t = τ_t(j)·C_{j⊕e_t}/√2 and + for a < b, each as one GEMM and a
+    directly formed difference."""
+    chains = _state_chains(s, n)[1]
+    signs = _reference(n).signs
+    rows = chains.reshape(-1, s.d_B)
+
+    def flipped(t: int) -> np.ndarray:
+        split = (2 ** (t - 1), 2, 2 ** (n - t), s.d_A * s.d_B)
+        tau = signs[: split[2], None] / np.sqrt(2.0)
+        return (chains.reshape(split)[:, ::-1] * tau).reshape(rows.shape)
+
+    f = {t: flipped(t) for t in range(1, n + 1)}
+    return tuple(
+        frobenius(rows @ s.bob[col].matrix.T - ((1.0 if a < b else -1.0) * f[a] + f[b]))
+        / np.sqrt(2.0**n)
+        for col, (a, b) in enumerate(chshn_pair_order(n))
+    )

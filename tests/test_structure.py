@@ -1,9 +1,14 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import xorgame.structure as structure
+from xorgame import serialize
 from xorgame.games import InvalidN, chsh_game, chshn_pair_order, new_game
 from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
@@ -30,7 +35,13 @@ from xorgame.structure import (
 )
 
 from conftest import near_optimal_variants, random_observable
-from oracles import BitString, chain_product, insertion_sign_left, insertion_sign_right
+from oracles import (
+    BitString,
+    chain_product,
+    direct_bob_residuals,
+    insertion_sign_left,
+    insertion_sign_right,
+)
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -293,6 +304,20 @@ class TestIntertwinerReport:
         assert rep.alice_bound == pytest.approx(12 * n * n * np.sqrt(rep.epsilon))
         assert rep.bob_bound == pytest.approx(17 * n * n * np.sqrt(rep.epsilon))
 
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_file_rounded_canonical_holds_without_the_margin(self, n):
+        # written at 12 digits and read back, the canonical strategy has Bob
+        # residuals of ~6e-13; ε from the relation residual is ~2e-25, not a
+        # rounded bias deficit of 0, so the bounds hold without the 1e-12 margin
+        raw = json.loads(serialize.dumps(serialize.strategy_to_dict(canonical_chshn(n))))
+        s = serialize.strategy_from_dict(raw)
+        rep = intertwiner_report(chsh_game(n)[0], s, n)
+        assert rep.epsilon > 0.0
+        assert max(rep.bob_residuals) > 1e-13
+        assert max(rep.bob_residuals) <= rep.bob_bound
+        assert max(rep.alice_residuals) <= rep.alice_bound
+        _assert_matches_direct_bob(s, n)
+
     def test_epsilon_from_measured_bias(self):
         n = 2
         g, _ = chsh_game(n)
@@ -386,11 +411,13 @@ class TestChainBasisResiduals:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_canonical_residuals_are_exact_zeros(self, n):
-        # each chain-basis entry on both sides is one product of the same
-        # two numbers, so the differences cancel exactly
+        # each Alice chain-basis entry on both sides is one product of the
+        # same two numbers, so the differences cancel exactly; Bob's come
+        # from the projection onto the chain span, which rounds at ~1e-16
         g, _ = chsh_game(n)
         rep = intertwiner_report(g, canonical_chshn(n), n)
-        assert set(rep.alice_residuals) == set(rep.bob_residuals) == {0.0}
+        assert set(rep.alice_residuals) == {0.0}
+        assert max(rep.bob_residuals) <= 1e-14
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_sign_vector_gives_both_insertion_signs(self, n):
@@ -427,6 +454,62 @@ class TestChainBasisResiduals:
         for a in (ref.ybar, ref.signs):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+
+def _assert_matches_direct_bob(s, n):
+    got = intertwiner_report(chsh_game(n)[0], s, n).bob_residuals
+    assert np.abs(np.subtract(got, direct_bob_residuals(s, n))).max() <= 1e-14
+
+
+class TestBobProjection:
+    """Bob's residuals by projection onto the chain span against the direct
+    difference, one GEMM per column."""
+
+    @pytest.mark.parametrize("include_bob", [False, True], ids=["alice", "both"])
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 0.01, 0.1])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_direct_difference(self, n, theta, include_bob):
+        _assert_matches_direct_bob(perturb(canonical_chshn(n), theta, seed=n, include_bob=include_bob), n)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_junk_embedded_match_direct_difference(self, n):
+        # with junk whose sectors the state misses, the chain stack has rank
+        # below d_B, so R is singular and Q spans more than the chains
+        for s in near_optimal_variants(n):
+            _assert_matches_direct_bob(s, n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_blocked_projection_matches_direct_difference(self, n, monkeypatch):
+        # small chain stacks take one block; force the four-block path on them
+        monkeypatch.setattr(structure, "_ONE_BLOCK_BYTES", 0)
+        for s in near_optimal_variants(n):
+            _assert_matches_direct_bob(s, n)
+
+    @given(
+        n=hst.integers(2, 6),
+        theta=hst.floats(0.0, 0.2),
+        seed=hst.integers(0, 2**31 - 1),
+        include_bob=hst.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_perturbations_match_direct_difference(self, n, theta, seed, include_bob):
+        _assert_matches_direct_bob(perturb(canonical_chshn(n), theta, seed, include_bob), n)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_peak_memory_stays_within_six_chain_stacks(self, n):
+        # the E_t stack is taken in four blocks of rows, so one report, T
+        # included, holds at most about five and a half stacks the size of
+        # the chains (2ⁿ·d_A·d_B complex) at once
+        g, _ = chsh_game(n)
+        s = perturb(canonical_chshn(n), 0.01, seed=n, include_bob=True)
+        intertwiner_report(g, s, n)  # warm the reference cache
+        tracemalloc.start()
+        try:
+            intertwiner_report(g, s, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**n * s.d_A * s.d_B * 16
 
 
 class TestAnticommutationResidual:
