@@ -58,14 +58,15 @@ def require_hermitian(h, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np
     return (m + m.conj().T) / 2
 
 
-def hermitian_eig(h, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by LAPACK ``eigh``.
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix Hermitian within HERMITIAN_TOL
+    (require_hermitian) by LAPACK ``eigh``.
 
     Returns eigenvalues ascending and a unitary matrix of eigenvectors
     (columns), so that h @ V == V @ diag(w).  A real symmetric input is
     decomposed in real arithmetic, so V is then real orthogonal.
     """
-    m = require_hermitian(h, tol)
+    m = require_hermitian(h)
     if not np.iscomplexobj(h):
         m = m.real
     w, v = np.linalg.eigh(m)
@@ -121,9 +122,9 @@ def schmidt(w, d_A: int, d_B: int, cutoff: float = 1e-9) -> SchmidtDecomposition
     return SchmidtDecomposition(coeffs, left, right)
 
 
-def sign_normalize(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def sign_normalize(h) -> np.ndarray:
     """Map a Hermitian operator to the ±1 observable sign(h), with sign(0) = +1."""
-    w, v = hermitian_eig(h, tol)
+    w, v = hermitian_eig(h)
     signs = np.where(w >= 0.0, 1.0, -1.0)
     out = (v * signs) @ v.conj().T
     return (out + out.conj().T) / 2

@@ -6,8 +6,11 @@ vectors (u_k, v_k).  Any strategy then satisfies the exact identity
     Σ_k ‖(u_k·A⃗ ⊗ I)|ψ⟩ − (I ⊗ v_k·B⃗)|ψ⟩‖²  =  Σ_i y_i − β(G, S),
 
 so at a dual optimum the residual sum measures the bias deficit directly and
-certifies ε-optimality.  Both closed-form relation systems for CHSH(n) are
-provided alongside numerical extraction from an arbitrary dual point.
+certifies ε-optimality.  A relation system is (y, U, V): U has the rows u_k
+and V the rows v_k, so Diag(y) − G_sym = WᵀW with W = [U, −V], and every
+consumer works on the two matrices.  Both closed-form relation systems for
+CHSH(n) are provided alongside numerical extraction from an arbitrary dual
+point.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame, chshn_pair_order, symmetrize
+from .games import InvalidN, XorGame, chshn_matrix, chshn_pair_order, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig, vec_to_matrix
 from .strategies import Strategy, bias
 
@@ -28,60 +31,56 @@ class DualInfeasible(ValueError):
 
 @dataclass(frozen=True)
 class RelationSystem:
-    """Dual weights y and relation vector pairs (u_k, v_k)."""
+    """Dual weights y and the relation matrices u (r × n_alice, rows u_k)
+    and v (r × n_bob, rows v_k)."""
 
     y: np.ndarray
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
-    n_alice: int
-    n_bob: int
+    u: np.ndarray
+    v: np.ndarray
 
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).reshape(-1)
-        if y.size != self.n_alice + self.n_bob:
+        u = np.ascontiguousarray(self.u, dtype=float)
+        v = np.ascontiguousarray(self.v, dtype=float)
+        if u.ndim != 2 or v.ndim != 2 or len(u) != len(v) or y.size != u.shape[1] + v.shape[1]:
             raise DimensionMismatch(
-                f"y has length {y.size}, expected {self.n_alice + self.n_bob}"
+                f"y, u, v have shapes {y.shape}, {u.shape}, {v.shape}; "
+                "expected (n_alice + n_bob,), (r, n_alice), (r, n_bob)"
             )
-        fixed = []
-        for u, v in self.pairs:
-            u = np.asarray(u, dtype=float).reshape(-1)
-            v = np.asarray(v, dtype=float).reshape(-1)
-            if u.size != self.n_alice or v.size != self.n_bob:
-                raise DimensionMismatch(
-                    f"pair has shapes ({u.size},{v.size}), "
-                    f"expected ({self.n_alice},{self.n_bob})"
-                )
-            fixed.append((u, v))
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "pairs", tuple(fixed))
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    @property
+    def n_alice(self) -> int:
+        return self.u.shape[1]
+
+    @property
+    def n_bob(self) -> int:
+        return self.v.shape[1]
 
     @property
     def r(self) -> int:
-        return len(self.pairs)
+        return len(self.u)
 
 
 def invariant_deviations(rel: RelationSystem, g: XorGame) -> tuple[float, float, float]:
-    """Max-abs deviations of (Σ u uᵀ − Diag(y_A), Σ v vᵀ − Diag(y_B), Σ u vᵀ − G/2)."""
-    n, m = rel.n_alice, rel.n_bob
-    if (g.n_alice, g.n_bob) != (n, m):
+    """Max-abs deviations of (UᵀU − Diag(y_A), VᵀV − Diag(y_B), UᵀV − G/2)."""
+    n = rel.n_alice
+    if (g.n_alice, g.n_bob) != (n, rel.n_bob):
         raise DimensionMismatch("relation system does not fit the game")
-    uu = np.zeros((n, n))
-    vv = np.zeros((m, m))
-    uv = np.zeros((n, m))
-    for u, v in rel.pairs:
-        uu += np.outer(u, u)
-        vv += np.outer(v, v)
-        uv += np.outer(u, v)
-    dev_uu = float(np.abs(uu - np.diag(rel.y[:n])).max())
-    dev_vv = float(np.abs(vv - np.diag(rel.y[n:])).max())
-    dev_uv = float(np.abs(uv - g.matrix / 2.0).max())
+    dev_uu = float(np.abs(rel.u.T @ rel.u - np.diag(rel.y[:n])).max())
+    dev_vv = float(np.abs(rel.v.T @ rel.v - np.diag(rel.y[n:])).max())
+    dev_uv = float(np.abs(rel.u.T @ rel.v - g.matrix / 2.0).max())
     return dev_uu, dev_vv, dev_uv
 
 
 def extract_relations(g: XorGame, y, cutoff: float = DEFAULT_CUTOFF) -> RelationSystem:
     """Factor Diag(y) − G_sym = Σ_k w_k w_kᵀ with w_k = [u_k; −v_k].
 
-    Eigenpairs with λ ≤ cutoff are dropped; eigenvalues in [−1e-8, 0) are
-    clipped to zero, anything lower raises DualInfeasible.
+    Row k of W = [U, −V] is √λ_k times the k-th eigenvector, the eigenvalues
+    λ_k > cutoff in descending order; eigenvalues in [−1e-8, 0) count as
+    zero, anything lower raises DualInfeasible.
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be >= 0, got {cutoff!r}")
@@ -94,14 +93,10 @@ def extract_relations(g: XorGame, y, cutoff: float = DEFAULT_CUTOFF) -> Relation
     w = w.real
     if w[0] < -1e-8:
         raise DualInfeasible(f"smallest eigenvalue of Diag(y) - G_sym is {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    pairs = []
-    for idx in range(w.size - 1, -1, -1):
-        if w[idx] <= cutoff:
-            break
-        wk = vecs[:, idx].real * np.sqrt(w[idx])
-        pairs.append((wk[:n], -wk[n:]))
-    return RelationSystem(yv, tuple(pairs), n, m)
+    # eigh sorts ascending, so the eigenvalues above the cutoff are a suffix
+    top = slice(-1, -1 - int(np.count_nonzero(w > cutoff)), -1)
+    rows = vecs[:, top].real.T * np.sqrt(w[top])[:, None]
+    return RelationSystem(yv, rows[:, :n], -rows[:, n:])
 
 
 def chshn_dual_y(n: int) -> np.ndarray:
@@ -131,22 +126,18 @@ def chshn_relations_form1(n: int) -> RelationSystem:
         u[t, a - 1] = c
         v[t, t] = h if a < b else -h
         v[t, t ^ 1] = h
-    return RelationSystem(y, tuple(zip(u, v)), n, len(order))
+    return RelationSystem(y, u, v)
 
 
 def chshn_relations_form2(n: int) -> RelationSystem:
     """Closed-form CHSH(n) relations: a ± combination of two questions vs. the
-    single answer column for that ordered pair."""
+    single answer column for that ordered pair.  Row t of U is c/√2 times
+    the signs of game column t, the matched sign at its first question and
+    + at its second; V = c·I."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
-    h = c / np.sqrt(2.0)
-    order = chshn_pair_order(n)
-    u, v = np.zeros((len(order), n)), np.zeros((len(order), len(order)))
-    for t, (a, b) in enumerate(order):
-        u[t, a - 1] = h if a < b else -h
-        u[t, b - 1] = h
-        v[t, t] = c
-    return RelationSystem(y, tuple(zip(u, v)), n, len(order))
+    u = (c / np.sqrt(2.0)) * np.sign(chshn_matrix(n)).T
+    return RelationSystem(y, u, c * np.eye(len(u)))
 
 
 def residual(s: Strategy, rel: RelationSystem) -> float:
@@ -157,13 +148,11 @@ def residual(s: Strategy, rel: RelationSystem) -> float:
             f"relations want {rel.n_alice}x{rel.n_bob}"
         )
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    u = np.array([uk for uk, _ in rel.pairs]).reshape(rel.r, rel.n_alice)
-    v = np.array([vk for _, vk in rel.pairs]).reshape(rel.r, rel.n_bob)
     # (u_k·A⃗ ⊗ I)|ψ⟩ = Σ_s u_ks·A_s M_ψ and (I ⊗ v_k·B⃗)|ψ⟩ = Σ_t v_kt·M_ψ B_tᵀ:
     # one product per observable, then one per side over the pairs
     am = np.stack([o.matrix for o in s.alice]) @ mpsi
     mb = mpsi @ np.stack([o.matrix for o in s.bob]).transpose(0, 2, 1)
-    diff = u @ am.reshape(rel.n_alice, -1) - v @ mb.reshape(rel.n_bob, -1)
+    diff = rel.u @ am.reshape(rel.n_alice, -1) - rel.v @ mb.reshape(rel.n_bob, -1)
     return float(np.vdot(diff, diff).real)
 
 

@@ -177,22 +177,30 @@ def relations_to_dict(rel: RelationSystem) -> dict:
         "y": [jfloat(x) for x in rel.y],
         "pairs": [
             {"u": [jfloat(x) for x in u], "v": [jfloat(x) for x in v]}
-            for u, v in rel.pairs
+            for u, v in zip(rel.u, rel.v)
         ],
     }
 
 
 def relations_from_dict(d, n_alice: int, n_bob: int) -> RelationSystem:
+    """Relations for an n_alice × n_bob game; FileFormatError unless every
+    pair has a u of length n_alice and a v of length n_bob."""
     try:
         y, pairs = d["y"], [(p["u"], p["v"]) for p in d["pairs"]]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"relations file must have y/pairs: {exc}")
-    return RelationSystem(
-        _float_list(y, "relations y"),
-        tuple((_float_list(u, "relation u"), _float_list(v, "relation v")) for u, v in pairs),
-        n_alice,
-        n_bob,
-    )
+    y = _float_list(y, "relations y")
+    u, v = np.empty((len(pairs), n_alice)), np.empty((len(pairs), n_bob))
+    for k, (uk, vk) in enumerate(pairs):
+        u[k], v[k] = _relation_row(uk, n_alice, "u", k), _relation_row(vk, n_bob, "v", k)
+    return RelationSystem(y, u, v)
+
+
+def _relation_row(values, width: int, name: str, k: int) -> np.ndarray:
+    row = _float_list(values, f"relation {name}")
+    if row.size != width:
+        raise FileFormatError(f"relation pair {k}: {name} has length {row.size}, not {width}")
+    return row
 
 
 def y_to_dict(y) -> dict:

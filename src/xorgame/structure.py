@@ -30,7 +30,7 @@ from .linalg import (
     sign_normalize,
     vec_to_matrix,
 )
-from .relations import RelationSystem, chshn_relations_form2, residual
+from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
 from .strategies import (
     Observable,
     Strategy,
@@ -84,7 +84,8 @@ class _Reference:
     taus: taus[t−1] is τ_t/√2 broadcast over the n bit axes of j and one
         trailing axis, the factor of the flipped term F_t.
     targets: row k holds the coefficients of F_1 … F_n in the target
-        ±F_a + F_b of Bob column k = (a, b) of chshn_pair_order(n).
+        ±F_a + F_b of Bob column k = (a, b) of chshn_pair_order(n), the
+        signs of game column k.
     game: the CHSH(n) game matrix.
     relations: the form-2 relation system, whose residual gives ε.
     """
@@ -113,14 +114,10 @@ def _reference(n: int) -> _Reference:
         np.broadcast_to(signs[: 2 ** (n - t)].reshape(axes[t:]) / np.sqrt(2.0), axes)
         for t in range(1, n + 1)
     )
-    pairs = np.array(chshn_pair_order(n)) - 1
-    targets = np.zeros((len(pairs), n))
-    a, b = pairs.T
-    targets[np.arange(len(pairs)), b] = 1.0
-    targets[np.arange(len(pairs)), a] = np.sign(b - a)
     game = chshn_matrix(n)
+    targets = np.ascontiguousarray(np.sign(game).T)
     relations = chshn_relations_form2(n)
-    for arr in (ybar, signs, targets, game, relations.y, *itertools.chain(*relations.pairs)):
+    for arr in (ybar, signs, targets, game, relations.y, relations.u, relations.v):
         arr.flags.writeable = False
     return _Reference(ybar, signs, taus, targets, game, relations)
 
@@ -219,15 +216,15 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     Alice residuals of exactly 0 and Bob residuals of about 1e-16.
 
     g is checked to be CHSH(n) (require_chshn_game), so that a caller such as
-    the CLI can name a wrong game file; ε is the CHSH(n) form-2 relation
-    residual over 1/√2, which by the residual identity is the bias deficit
-    relative to the optimum 1/√2, summed from squares so that nothing
-    cancels.  Residuals are compared against 12n²√ε (Alice) and 17n²√ε
-    (Bob) with a 1e-12 floating-point margin.
+    the CLI can name a wrong game file; ε is certify_epsilon of the CHSH(n)
+    form-2 relations at β = 1/√2, by the residual identity the bias deficit
+    relative to the optimum, summed from squares so that nothing cancels.
+    Residuals are compared against 12n²√ε (Alice) and 17n²√ε (Bob) with a
+    1e-12 floating-point margin.
     """
     require_chshn_game(g, n)
     ref = _reference(n)
-    eps = residual(s, ref.relations) / TSIRELSON_BIAS
+    eps = certify_epsilon(g, s, ref.relations, TSIRELSON_BIAS)
     chains, *span = _chain_span(s, n)
     bob_res = _bob_residuals(chains, *span, s, n, ref)
     alice_res = _alice_residuals(chains, s, n)

@@ -1,19 +1,21 @@
 """The paper's chain definitions, one product and one sign at a time, the
-Born-rule referee, one projector product at a time, and Bob's intertwiner
-residuals, one GEMM and one direct difference per observable.
+Born-rule referee, one projector product at a time, Bob's intertwiner
+residuals, one GEMM and one direct difference per observable, and relation
+extraction, one eigenpair at a time.
 
 The library computes all chain products at once (`structure._chain_products`),
 reads the insertion signs from one sign vector (`structure._reference`),
-takes the outcome statistics of `strategies.simulate` from the correlations
-and Bob's residuals from one projection onto the span of the chains; these
-direct definitions are the oracles the tests compare them with.
+takes the outcome statistics of `strategies.simulate` from the correlations,
+Bob's residuals from one projection onto the span of the chains and the
+relation matrices U, V from one slice of the eigenpairs; these direct
+definitions are the oracles the tests compare them with.
 """
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from xorgame.games import chshn_pair_order
+from xorgame.games import chshn_pair_order, symmetrize
 from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
 from xorgame.strategies import Observable
 from xorgame.structure import IndexOutOfRange, _reference, _state_chains
@@ -128,3 +130,21 @@ def direct_bob_residuals(s, n: int) -> tuple[float, ...]:
         / np.sqrt(2.0**n)
         for col, (a, b) in enumerate(chshn_pair_order(n))
     )
+
+
+def loop_extract_relations(g, y, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """U and V of relations.extract_relations for a feasible y, one
+    eigenpair at a time: from the largest eigenvalue λ of Diag(y) − G_sym
+    down while λ > cutoff, w = √λ·(eigenvector) gives u = w[:n] and
+    v = −w[n:]."""
+    n, m = g.n_alice, g.n_bob
+    w, vecs = hermitian_eig(np.diag(np.asarray(y, dtype=float)) - symmetrize(g))
+    w = np.clip(w.real, 0.0, None)
+    us, vs = [], []
+    for idx in range(w.size - 1, -1, -1):
+        if w[idx] <= cutoff:
+            break
+        wk = vecs[:, idx].real * np.sqrt(w[idx])
+        us.append(wk[:n])
+        vs.append(-wk[n:])
+    return np.array(us).reshape(-1, n), np.array(vs).reshape(-1, m)

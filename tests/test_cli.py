@@ -616,6 +616,18 @@ class TestWrongTypedFieldsAreInputErrors:
         bad.write_text(json.dumps(doc))
         self._assert_input_error(capsys, bad, [a.format(bad=bad, **chsh2) for a in argv])
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [[{"u": [1.0, 0.0, 0.0], "v": [0.0, 1.0]}],
+         [{"u": [1.0, 0.0], "v": [0.0, 1.0]}, {"u": [1.0], "v": [0.0]}]],
+        ids=["u-length", "ragged"],
+    )
+    def test_relation_pairs_that_do_not_fit_the_game(self, capsys, chsh2, tmp_path, pairs):
+        bad = tmp_path / "relations.json"
+        bad.write_text(json.dumps({"y": [0.1] * 4, "pairs": pairs}))
+        argv = ["relations", "residual", chsh2["g"], chsh2["can"], str(bad)]
+        self._assert_input_error(capsys, bad, argv)
+
 
 # sha256 of each artifact for n = 2..8, as `--out` writes it.  These
 # artifacts come from sums, differences and Kronecker products of exact

@@ -29,6 +29,7 @@ from xorgame.strategies import (
 )
 
 from conftest import near_optimal_variants, random_observable
+from oracles import loop_extract_relations
 
 RT2 = np.sqrt(2.0)
 
@@ -60,7 +61,7 @@ class TestClosedForms:
 
     def test_form1_alice_sum_for_n3(self):
         rel = chshn_relations_form1(3)
-        uu = sum(np.outer(u, u) for u, _ in rel.pairs)
+        uu = rel.u.T @ rel.u
         assert np.abs(uu - np.eye(3) / (6.0 * RT2)).max() < 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -91,7 +92,7 @@ class TestExtractRelations:
     def test_single_entry_game(self):
         g = new_game(np.array([[1.0]]))
         rel = extract_relations(g, [0.5, 0.5])
-        uv = sum(np.outer(u, v) for u, v in rel.pairs)
+        uv = rel.u.T @ rel.v
         assert np.abs(uv - g.matrix / 2.0).max() < 1e-14
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -121,6 +122,47 @@ class TestExtractRelations:
         g, _ = chsh_game(2)
         with pytest.raises(ValueError):
             extract_relations(g, chshn_dual_y(2), cutoff=-1.0)
+
+
+def _random_game(seed):
+    rng = np.random.default_rng(seed)
+    n, m = rng.integers(1, 7, 2)
+    return new_game(rng.standard_normal((n, m)), normalize=True), rng
+
+
+class TestExtractMatchesLoopOracle:
+    """The one-slice extraction gives the per-eigenpair loop's U and V bit
+    for bit."""
+
+    @staticmethod
+    def _assert_matches(g, y, cutoff=1e-9):
+        rel = extract_relations(g, y, cutoff)
+        u, v = loop_extract_relations(g, y, cutoff)
+        assert rel.u.shape == u.shape and rel.v.shape == v.shape
+        assert rel.u.tobytes() == u.tobytes() and rel.v.tobytes() == v.tobytes()
+        return rel
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closed_form_dual(self, n):
+        self._assert_matches(chsh_game(n)[0], chshn_dual_y(n))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solved_dual_of_random_games(self, seed):
+        g, _ = _random_game(seed)
+        self._assert_matches(g, solve(symmetrize(g), 1e-8).y)
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("cutoff", [0.0, 1e-9, 0.05])
+    def test_diagonally_dominant_y_of_random_games(self, seed, cutoff):
+        # y_i ≥ Σ_j |G_sym|_ij makes Diag(y) − G_sym diagonally dominant, so PSD
+        g, rng = _random_game(seed)
+        y = np.abs(symmetrize(g)).sum(axis=1) + rng.random(g.n_alice + g.n_bob) / 10
+        self._assert_matches(g, y, cutoff)
+
+    def test_oversized_cutoff_gives_empty_matrices(self):
+        g, _ = chsh_game(3)
+        rel = self._assert_matches(g, chshn_dual_y(3), cutoff=10.0)
+        assert rel.u.shape == (0, 3) and rel.v.shape == (0, 6)
 
 
 class TestIdentity:
@@ -220,7 +262,7 @@ def _pairwise_residual(s, rel):
     """Σ_k ‖(u_k·A⃗ ⊗ I)|ψ⟩ − (I ⊗ v_k·B⃗)|ψ⟩‖², one relation pair at a time."""
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     total = 0.0
-    for u, v in rel.pairs:
+    for u, v in zip(rel.u, rel.v):
         ua = sum(u[i] * s.alice[i].matrix for i in range(rel.n_alice))
         vb = sum(v[j] * s.bob[j].matrix for j in range(rel.n_bob))
         diff = ua @ mpsi - mpsi @ vb.T
@@ -253,14 +295,19 @@ class TestResidualMatchesPairwiseReference:
 class TestRelationSystemType:
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            RelationSystem(np.ones(3), (), 2, 2)
+            RelationSystem(np.ones(3), np.zeros((0, 2)), np.zeros((0, 2)))
 
     def test_rejects_pair_shape_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            RelationSystem(np.ones(4), ((np.ones(3), np.ones(2)),), 2, 2)
+            RelationSystem(np.ones(4), np.ones((1, 3)), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch):
+            RelationSystem(np.ones(4), np.ones((2, 2)), np.ones((1, 2)))
+        with pytest.raises(DimensionMismatch):
+            RelationSystem(np.ones(4), np.ones(2), np.ones(2))
 
     @given(st.integers(2, 4))
     @settings(max_examples=10, deadline=None)
     def test_r_counts_pairs(self, n):
         rel = chshn_relations_form1(n)
-        assert rel.r == len(rel.pairs) == n * (n - 1)
+        assert rel.r == len(rel.u) == len(rel.v) == n * (n - 1)
+        assert rel.u.shape == (rel.r, n) and rel.v.shape == (rel.r, n * (n - 1))

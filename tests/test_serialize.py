@@ -97,6 +97,11 @@ class TestArtifactRoundTrips:
         assert back.r == rel.r
         assert sz.dumps(sz.relations_to_dict(back)) == text
 
+    def test_relations_without_pairs(self):
+        back = sz.relations_from_dict({"y": [0.1] * 5, "pairs": []}, 2, 3)
+        assert back.r == 0
+        assert back.u.shape == (0, 2) and back.v.shape == (0, 3)
+
     def test_y_vector(self):
         y = chshn_dual_y(3)
         text = sz.dumps(sz.y_to_dict(y))
@@ -513,8 +518,10 @@ class TestWrongTypedFields:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("y", "1234"), ("y", ["abc"]), ("u", "12"), ("v", ["x", "y"]), ("u", [[1.0, 0.0]])],
-        ids=["y-string", "y-string-entry", "u-string", "v-string-entries", "u-nested"],
+        [("y", "1234"), ("y", ["abc"]), ("u", "12"), ("v", ["x", "y"]), ("u", [[1.0, 0.0]]),
+         ("u", [1.0, 0.0, 0.0]), ("v", [1.0])],
+        ids=["y-string", "y-string-entry", "u-string", "v-string-entries", "u-nested",
+             "u-length", "v-length"],
     )
     def test_relations(self, field, value):
         d = {"y": [0.1] * 4, "pairs": [{"u": [1.0, 0.0], "v": [0.0, 1.0]}]}
@@ -524,3 +531,8 @@ class TestWrongTypedFields:
             d["pairs"][0][field] = value
         with pytest.raises(sz.FileFormatError):
             sz.relations_from_dict(d, 2, 2)
+
+    def test_relations_with_ragged_pairs(self):
+        pairs = [{"u": [1.0, 0.0], "v": [0.0, 1.0]}, {"u": [1.0], "v": [0.0]}]
+        with pytest.raises(sz.FileFormatError, match="relation pair 1: u has length 1, not 2"):
+            sz.relations_from_dict({"y": [0.1] * 4, "pairs": pairs}, 2, 2)

@@ -11,6 +11,7 @@ import xorgame.structure as structure
 from xorgame import serialize
 from xorgame.games import InvalidN, chsh_game, chshn_pair_order, new_game
 from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
+from xorgame.relations import certify_epsilon, chshn_relations_form2
 from xorgame.strategies import (
     Observable,
     Strategy,
@@ -317,6 +318,15 @@ class TestIntertwinerReport:
         assert max(rep.bob_residuals) <= rep.bob_bound
         assert max(rep.alice_residuals) <= rep.alice_bound
         _assert_matches_direct_bob(s, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("theta", [0.0, 0.01, 0.1])
+    def test_epsilon_is_certify_epsilon(self, n, theta):
+        # the README's promise: rep.epsilon is certify_epsilon's ε, bit for bit
+        g, _ = chsh_game(n)
+        s = perturb(canonical_chshn(n), theta, seed=2)
+        want = certify_epsilon(g, s, chshn_relations_form2(n), 1 / np.sqrt(2))
+        assert intertwiner_report(g, s, n).epsilon == want
 
     def test_epsilon_from_measured_bias(self):
         n = 2
