@@ -49,7 +49,7 @@ class XorGame:
             raise ValueError("game matrix contains non-finite entries")
         total = np.abs(m).sum()
         if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise NotNormalized(f"sum of |entries| is {total!r}, must be 1 within {NORMALIZATION_TOL}")
+            raise NotNormalized(f"sum of |entries| is {float(total)!r}, must be 1 within {NORMALIZATION_TOL}")
         object.__setattr__(self, "matrix", m)
 
 

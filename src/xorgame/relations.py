@@ -150,8 +150,8 @@ def residual(s: Strategy, rel: RelationSystem) -> float:
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     # (u_k·A⃗ ⊗ I)|ψ⟩ = Σ_s u_ks·A_s M_ψ and (I ⊗ v_k·B⃗)|ψ⟩ = Σ_t v_kt·M_ψ B_tᵀ:
     # one product per observable, then one per side over the pairs
-    am = np.stack([o.matrix for o in s.alice]) @ mpsi
-    mb = mpsi @ np.stack([o.matrix for o in s.bob]).transpose(0, 2, 1)
+    am = s.alice @ mpsi
+    mb = mpsi @ s.bob.transpose(0, 2, 1)
     diff = rel.u @ am.reshape(rel.n_alice, -1) - rel.v @ mb.reshape(rel.n_bob, -1)
     return float(np.vdot(diff, diff).real)
 

@@ -36,8 +36,9 @@ class NonSymmetric(ValueError):
 
 
 class MaxIterations(RuntimeError):
-    """No convergence (iteration cap or collapsed step); carries the best
-    iterate, flagged non-converged, and says why in its message."""
+    """No convergence (iteration cap, collapsed step or singular Newton
+    system); carries the best iterate, flagged non-converged, and says why
+    in its message."""
 
     def __init__(self, solution: "SdpSolution", diagnosis: str = ""):
         super().__init__(
@@ -102,8 +103,8 @@ def solve(g_sym, tol: float = DEFAULT_TOL) -> SdpSolution:
 
     ‖G_sym‖_∞ is the largest row ℓ1 norm: the gap promise is absolute for
     objectives of unit size or larger and relative for smaller ones.  Raises
-    MaxIterations (carrying the best iterate) if the 500-step cap is hit or a
-    step collapses.
+    MaxIterations (carrying the best iterate) if the 500-step cap is hit, a
+    step collapses or the Newton system is singular.
     """
     if not (0.0 < tol <= 1e-2):
         raise ValueError(f"tol must lie in (0, 1e-2], got {tol!r}")
@@ -133,9 +134,13 @@ def solve(g_sym, tol: float = DEFAULT_TOL) -> SdpSolution:
             break
         # Newton step for X·S = µI with diag(X + dX) = 1 and dS = Diag(dy);
         # S⁻¹ is symmetrized, as its rounding asymmetry stalls late iterations
-        s_inv = np.linalg.inv(s)
-        s_inv = (s_inv + s_inv.T) / 2
-        dy = np.linalg.solve(x * s_inv, mu * np.diag(s_inv) - 1.0)
+        try:
+            s_inv = np.linalg.inv(s)
+            s_inv = (s_inv + s_inv.T) / 2
+            dy = np.linalg.solve(x * s_inv, mu * np.diag(s_inv) - 1.0)
+        except np.linalg.LinAlgError:
+            reason = "Newton system singular"
+            break
         m = (x * dy) @ s_inv
         dx = mu * s_inv - x - (m + m.T) / 2
         alpha_p = _step_length(x, dx)

@@ -31,7 +31,7 @@ import numpy as np
 from .games import XorGame, new_game
 from .relations import RelationSystem
 from .sdp import SdpSolution
-from .strategies import Observable, Strategy
+from .strategies import Strategy
 from .structure import IntertwinerReport
 
 
@@ -141,8 +141,8 @@ def strategy_to_dict(s: Strategy) -> dict:
     return {
         "d_A": s.d_A,
         "d_B": s.d_B,
-        "alice": [matrix_to_dict(o.matrix) for o in s.alice],
-        "bob": [matrix_to_dict(o.matrix) for o in s.bob],
+        "alice": [matrix_to_dict(o) for o in s.alice],
+        "bob": [matrix_to_dict(o) for o in s.bob],
         "state": _pair_rows(s.state),
     }
 
@@ -153,13 +153,23 @@ def strategy_from_dict(d) -> Strategy:
         alice, bob, state = list(d["alice"]), list(d["bob"]), d["state"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"strategy file must have d_A/d_B/alice/bob/state: {exc}")
+    if d_a < 1 or d_b < 1:
+        raise FileFormatError(f"strategy must have d_A, d_B >= 1, got {d_a} and {d_b}")
     return Strategy(
-        d_a,
-        d_b,
-        tuple(Observable(matrix_from_dict(m)) for m in alice),
-        tuple(Observable(matrix_from_dict(m)) for m in bob),
+        _observable_stack(alice, d_a, "alice"),
+        _observable_stack(bob, d_b, "bob"),
         _complex_vector(state, "strategy state"),
     )
+
+
+def _observable_stack(mats, d: int, name: str) -> np.ndarray:
+    """The matrix objects mats as one (len(mats), d, d) stack; FileFormatError
+    unless each is d × d."""
+    arrays = [matrix_from_dict(m) for m in mats]
+    for k, a in enumerate(arrays):
+        if a.shape != (d, d):
+            raise FileFormatError(f"{name} observable {k} is {a.shape[0]}x{a.shape[1]}, not {d}x{d}")
+    return np.array(arrays, dtype=complex).reshape(len(arrays), d, d)
 
 
 def solution_to_dict(sol: SdpSolution) -> dict:

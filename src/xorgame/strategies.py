@@ -1,6 +1,6 @@
 """Quantum strategies for XOR games.
 
-A strategy is a list of ±1 observables per player plus a shared bipartite
+A strategy is a stack of ±1 observables per player plus a shared bipartite
 state.  This module evaluates biases, builds the anticommuting observable
 family and the canonical CHSH(n) strategies, converts feasible correlation
 matrices into strategies, runs Monte-Carlo referees, and manufactures
@@ -15,10 +15,9 @@ import numpy as np
 from .games import InvalidN, XorGame, chshn_pair_order
 from .linalg import (
     DimensionMismatch,
+    NonHermitian,
     frobenius,
     hermitian_eig,
-    matrix_to_vec,
-    require_hermitian,
     vec_to_matrix,
 )
 
@@ -47,50 +46,70 @@ class InvalidK(ValueError):
     """Anticommuting family needs k >= 1."""
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A ±1 observable: Hermitian and squaring to the identity."""
+def require_observables(obs, name: str) -> np.ndarray:
+    """obs as a read-only (k, d, d) stack of ±1 observables.
 
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = require_hermitian(self.matrix, OBSERVABLE_HERMITIAN_TOL, "observable")
-        dev = np.abs(m @ m - np.eye(m.shape[0])).max()
-        if dev > OBSERVABLE_SQUARE_TOL:
-            raise ValueError(f"observable squared deviates from identity by {dev:.3e}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    Each must be Hermitian within OBSERVABLE_HERMITIAN_TOL and is stored
+    symmetrized, as (O + O†)/2, which must square to I within
+    OBSERVABLE_SQUARE_TOL.  An error names the stack by name and the
+    observable by its index."""
+    stack = np.ascontiguousarray(obs, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
+        raise DimensionMismatch(f"{name} must be a stack of square matrices, got shape {stack.shape}")
+    bad = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))
+    if bad.size:
+        raise ValueError(f"{name} observable {bad[0]} contains non-finite entries")
+    adjoint = stack.conj().transpose(0, 2, 1)
+    dev = np.abs(stack - adjoint).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > OBSERVABLE_HERMITIAN_TOL)
+    if bad.size:
+        raise NonHermitian(
+            f"{name} observable {bad[0]} deviates from Hermitian by {dev[bad[0]]:.3e} "
+            f"(tolerance {OBSERVABLE_HERMITIAN_TOL:.1e})"
+        )
+    stack = (stack + adjoint) / 2
+    dev = np.abs(stack @ stack - np.eye(stack.shape[1])).max(axis=(1, 2))
+    bad = np.flatnonzero(dev > OBSERVABLE_SQUARE_TOL)
+    if bad.size:
+        raise ValueError(
+            f"{name} observable {bad[0]} squared deviates from identity by {dev[bad[0]]:.3e}"
+        )
+    stack.flags.writeable = False
+    return stack
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """Observables for both players and a shared state on C^d_A ⊗ C^d_B."""
+    """Alice's (n, d_A, d_A) and Bob's (m, d_B, d_B) stacks of ±1
+    observables (require_observables) and a shared state on C^d_A ⊗ C^d_B."""
 
-    d_A: int
-    d_B: int
-    alice: tuple[Observable, ...]
-    bob: tuple[Observable, ...]
+    alice: np.ndarray
+    bob: np.ndarray
     state: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(self.alice))
-        object.__setattr__(self, "bob", tuple(self.bob))
+        alice = require_observables(self.alice, "alice")
+        bob = require_observables(self.bob, "bob")
+        d_a, d_b = alice.shape[-1], bob.shape[-1]
         psi = np.asarray(self.state, dtype=complex).reshape(-1)
-        if psi.size != self.d_A * self.d_B:
+        if psi.size != d_a * d_b:
             raise DimensionMismatch(
-                f"state has dim {psi.size}, expected {self.d_A}*{self.d_B}"
+                f"state has dim {psi.size}, observables are {d_a}- and {d_b}-dim"
             )
-        for name, obs, d in (("alice", self.alice, self.d_A), ("bob", self.bob, self.d_B)):
-            for o in obs:
-                if o.dim != d:
-                    raise DimensionMismatch(f"{name} observable is {o.dim}-dim, expected {d}")
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1")
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "state", psi)
+
+    @property
+    def d_A(self) -> int:
+        return self.alice.shape[-1]
+
+    @property
+    def d_B(self) -> int:
+        return self.bob.shape[-1]
 
 
 def maximally_entangled(d: int) -> np.ndarray:
@@ -121,16 +140,15 @@ def bias(g: XorGame, s: Strategy) -> float:
     """Success bias Σ_st G_st ⟨ψ| A_s ⊗ B_t |ψ⟩."""
     require_game_shape(g, s)
     m = vec_to_matrix(s.state, s.d_A, s.d_B)
-    alice = np.stack([o.matrix for o in s.alice])
-    bob = np.stack([o.matrix for o in s.bob])
-    total = (g.matrix * _correlations(alice, bob, m)).sum()
+    total = (g.matrix * _correlations(s.alice, s.bob, m)).sum()
     if abs(total.imag) > 1e-8:
         raise NonRealBias(f"bias has imaginary part {total.imag:.3e}")
     return float(total.real)
 
 
-def sigma_observables(k: int) -> list[Observable]:
-    """2k+1 pairwise anticommuting ±1 observables on C^(2^k).
+def sigma_observables(k: int) -> np.ndarray:
+    """2k+1 pairwise anticommuting ±1 observables on C^(2^k), as a read-only
+    (2k+1, 2^k, 2^k) stack (require_observables).
 
     Index i = 2m-1 places σ_x at slot m after m-1 σ_y factors, i = 2m places
     σ_z there, and i = 2k+1 is σ_y on every slot.
@@ -149,8 +167,8 @@ def sigma_observables(k: int) -> list[Observable]:
         acc = factors[0]
         for f in factors[1:]:
             acc = np.kron(acc, f)
-        out.append(Observable(acc))
-    return out
+        out.append(acc)
+    return require_observables(out, "sigma")
 
 
 def _matched_combinations(mats) -> np.ndarray:
@@ -161,19 +179,17 @@ def _matched_combinations(mats) -> np.ndarray:
     return np.stack(combs) / np.sqrt(2)
 
 
-def _canonical_alice(n: int) -> list[np.ndarray]:
+def _canonical_alice(n: int) -> np.ndarray:
     """Alice's n pairwise anticommuting matrices of canonical_chshn(n) on
-    C^(2^⌈n/2⌉), as plain arrays taken from the σ family."""
+    C^(2^⌈n/2⌉), as an (n, d, d) stack taken from the σ family."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidN(f"need integer n >= 2, got {n!r}")
     k = n // 2
     fam = sigma_observables(max(k, 1))
     if n % 2 == 0:
-        return [fam[i].matrix for i in range(2 * k)]
+        return fam[: 2 * k]
     eye2 = np.eye(2, dtype=complex)
-    alice_mats = [np.kron(eye2, fam[i].matrix) for i in range(2 * k)]
-    alice_mats.append(np.kron(_SIGMA_Z, fam[2 * k].matrix))
-    return alice_mats
+    return np.stack([np.kron(eye2, f) for f in fam[: 2 * k]] + [np.kron(_SIGMA_Z, fam[2 * k])])
 
 
 def canonical_chshn(n: int) -> Strategy:
@@ -183,16 +199,9 @@ def canonical_chshn(n: int) -> Strategy:
     with the transpose of its matched answer (±A_a + A_b)/√2 (see
     chshn_pair_order); the state is maximally entangled.
     """
-    alice_mats = _canonical_alice(n)
-    d = alice_mats[0].shape[0]
-    bob_mats = _matched_combinations(alice_mats).transpose(0, 2, 1)
-    return Strategy(
-        d,
-        d,
-        tuple(Observable(m) for m in alice_mats),
-        tuple(Observable(m) for m in bob_mats),
-        maximally_entangled(d),
-    )
+    alice = _canonical_alice(n)
+    bob = _matched_combinations(alice).transpose(0, 2, 1)
+    return Strategy(alice, bob, maximally_entangled(alice.shape[-1]))
 
 
 def tsirelson_strategy(z, n: int, m: int) -> Strategy:
@@ -216,15 +225,12 @@ def tsirelson_strategy(z, n: int, m: int) -> Strategy:
     x = v.real * np.sqrt(np.clip(w, 1e-10, None) * (w > 1e-10))
     x = x / np.linalg.norm(x, axis=1, keepdims=True)
     kk = (big + 1) // 2
-    fam = [o.matrix for o in sigma_observables(kk)[:big]]
-    d = 2**kk
-    alice = []
-    bob = []
-    for i in range(n):
-        alice.append(Observable(sum(x[i, q] * fam[q] for q in range(big))))
-    for j in range(m):
-        bob.append(Observable(sum(x[n + j, q] * fam[q] for q in range(big)).T))
-    return Strategy(d, d, tuple(alice), tuple(bob), maximally_entangled(d))
+    fam = sigma_observables(kk)
+    # x_i·σ⃗ for every i at once, one term of σ⃗ at a time in the order of q
+    obs = np.zeros((big,) + fam.shape[1:], dtype=complex)
+    for q in range(big):
+        obs += x[:, q, None, None] * fam[q]
+    return Strategy(obs[:n], obs[n:].transpose(0, 2, 1), maximally_entangled(2**kk))
 
 
 def simulate(g: XorGame, s: Strategy, rounds: int, seed: int) -> tuple[float, float]:
@@ -240,8 +246,8 @@ def simulate(g: XorGame, s: Strategy, rounds: int, seed: int) -> tuple[float, fl
     require_game_shape(g, s)
     # the last row and column are the marginals ⟨A_s⊗I⟩ and ⟨I⊗B_t⟩
     corr = _correlations(
-        np.stack([o.matrix for o in s.alice] + [np.eye(s.d_A)]),
-        np.stack([o.matrix for o in s.bob] + [np.eye(s.d_B)]),
+        np.concatenate((s.alice, np.eye(s.d_A)[None])),
+        np.concatenate((s.bob, np.eye(s.d_B)[None])),
         vec_to_matrix(s.state, s.d_A, s.d_B),
     ).real
     si, ti = np.nonzero(g.matrix)
@@ -263,63 +269,47 @@ def simulate(g: XorGame, s: Strategy, rounds: int, seed: int) -> tuple[float, fl
 
 
 def embed_with_junk(
-    s: Strategy,
-    extra_A: int,
-    extra_B: int,
-    junk_alice: list[Observable] | None = None,
-    junk_bob: list[Observable] | None = None,
+    s: Strategy, extra_A: int, extra_B: int, junk_alice=None, junk_bob=None
 ) -> Strategy:
     """Direct-sum junk blocks onto every observable; the state is zero-padded.
 
-    The state never touches the new sectors, so the bias is unchanged.
+    junk_alice and junk_bob are (n, extra_A, extra_A) and (m, extra_B,
+    extra_B) stacks, one block per observable, needed when the extra
+    dimension is positive.  The state never touches the new sectors, so the
+    bias is unchanged.
     """
-    junk_alice = list(junk_alice or [])
-    junk_bob = list(junk_bob or [])
     if extra_A < 0 or extra_B < 0:
         raise ValueError("extra dimensions must be >= 0")
-    if extra_A > 0 and len(junk_alice) != len(s.alice):
-        raise DimensionMismatch("need one junk block per Alice observable")
-    if extra_B > 0 and len(junk_bob) != len(s.bob):
-        raise DimensionMismatch("need one junk block per Bob observable")
-    for o in junk_alice:
-        if o.dim != extra_A:
-            raise DimensionMismatch(f"Alice junk block is {o.dim}-dim, expected {extra_A}")
-    for o in junk_bob:
-        if o.dim != extra_B:
-            raise DimensionMismatch(f"Bob junk block is {o.dim}-dim, expected {extra_B}")
 
-    def extend(obs: tuple[Observable, ...], junk: list[Observable], extra: int):
+    def extend(obs: np.ndarray, junk, extra: int, name: str) -> np.ndarray:
         if extra == 0:
             return obs
-        out = []
-        for o, jk in zip(obs, junk):
-            big = np.zeros((o.dim + extra, o.dim + extra), dtype=complex)
-            big[: o.dim, : o.dim] = o.matrix
-            big[o.dim :, o.dim :] = jk.matrix
-            out.append(Observable(big))
-        return tuple(out)
+        junk = np.asarray(junk if junk is not None else (), dtype=complex)
+        if junk.shape != (len(obs), extra, extra):
+            raise DimensionMismatch(
+                f"{name} junk is {junk.shape}, need one {extra}x{extra} block per observable"
+            )
+        big = np.pad(obs, ((0, 0), (0, extra), (0, extra)))
+        big[:, -extra:, -extra:] = junk
+        return big
 
-    new_alice = extend(s.alice, junk_alice, extra_A)
-    new_bob = extend(s.bob, junk_bob, extra_B)
-    padded = np.zeros((s.d_A + extra_A, s.d_B + extra_B), dtype=complex)
-    padded[: s.d_A, : s.d_B] = vec_to_matrix(s.state, s.d_A, s.d_B)
+    psi = np.pad(vec_to_matrix(s.state, s.d_A, s.d_B), ((0, extra_A), (0, extra_B)))
     return Strategy(
-        s.d_A + extra_A, s.d_B + extra_B, new_alice, new_bob, matrix_to_vec(padded)
+        extend(s.alice, junk_alice, extra_A, "Alice"), extend(s.bob, junk_bob, extra_B, "Bob"), psi
     )
 
 
-def _random_unit_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
-    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    h = (h + h.conj().T) / 2
-    return h / frobenius(h)
-
-
-def _conjugate(o: Observable, theta: float, rng: np.random.Generator) -> Observable:
-    h = _random_unit_hermitian(rng, o.dim)
-    w, v = hermitian_eig(h)
-    u = (v * np.exp(1j * theta * w)) @ v.conj().T
-    m = u @ o.matrix @ u.conj().T
-    return Observable((m + m.conj().T) / 2)
+def _conjugate(obs: np.ndarray, theta: float, rng: np.random.Generator) -> np.ndarray:
+    """Each observable of the stack conjugated by its own exp(iθH), H an
+    independent random Hermitian of unit Frobenius norm."""
+    out = np.empty_like(obs)
+    for i, o in enumerate(obs):
+        h = rng.standard_normal(o.shape) + 1j * rng.standard_normal(o.shape)
+        h = (h + h.conj().T) / 2
+        w, v = hermitian_eig(h / frobenius(h))
+        u = (v * np.exp(1j * theta * w)) @ v.conj().T
+        out[i] = u @ o @ u.conj().T
+    return out
 
 
 def perturb(s: Strategy, theta: float, seed: int, include_bob: bool = False) -> Strategy:
@@ -330,6 +320,6 @@ def perturb(s: Strategy, theta: float, seed: int, include_bob: bool = False) -> 
     rng = np.random.default_rng(seed)
     if theta == 0.0:
         return s
-    alice = tuple(_conjugate(o, theta, rng) for o in s.alice)
-    bob = tuple(_conjugate(o, theta, rng) for o in s.bob) if include_bob else s.bob
-    return Strategy(s.d_A, s.d_B, alice, bob, s.state)
+    alice = _conjugate(s.alice, theta, rng)
+    bob = _conjugate(s.bob, theta, rng) if include_bob else s.bob
+    return Strategy(alice, bob, s.state)

@@ -32,12 +32,12 @@ from .linalg import (
 )
 from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
 from .strategies import (
-    Observable,
     Strategy,
     _canonical_alice,
     _matched_combinations,
     canonical_chshn,
     perturb,
+    require_observables,
 )
 
 TSIRELSON_BIAS = 1.0 / np.sqrt(2.0)
@@ -104,7 +104,7 @@ def _reference(n: int) -> _Reference:
     matrices, with the CHSH(n) game matrix and form-2 relations; its arrays
     are read-only.  One entry serves every report of a run of equal n, such
     as a sweep's cells."""
-    mats = np.stack(_canonical_alice(n))
+    mats = _canonical_alice(n)
     ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
     signs = np.ones(1)
     for _ in range(n - 1):
@@ -142,7 +142,7 @@ def _state_chains(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The chain products A^j, as a (2ⁿ, d_A, d_A) stack, and the chains
     C_j = A^j·M_ψ, as a (2ⁿ, d_A, d_B) stack, for every bit string j."""
     require_chshn_shape(s, n)
-    prods = _chain_products(np.stack([o.matrix for o in s.alice]))
+    prods = _chain_products(s.alice)
     return prods, prods @ vec_to_matrix(s.state, s.d_A, s.d_B)
 
 
@@ -263,7 +263,7 @@ def _alice_residuals(chains: np.ndarray, s: Strategy, n: int) -> tuple[float, ..
     res = []
     for i, o in enumerate(s.alice):
         split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
-        np.matmul(o.matrix, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
+        np.matmul(o, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
         diff = lhs.reshape(split)
         np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
         res.append(frobenius(lhs) / scale)
@@ -315,7 +315,7 @@ def _bob_residuals(
         h += ev @ ev.T
 
     # The first term, transposed: row k is B_k·Rᵀ − Σ_t targets[k, t]·G_tᵀ.
-    bob = np.concatenate([o.matrix for o in s.bob])
+    bob = s.bob.reshape(-1, d_b)
     g_t = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)
     inside = ((bob @ r.T).reshape(len(s.bob), -1) - ref.targets @ g_t).view(float)
     total = (inside * inside).sum(axis=1) + ((ref.targets @ h) * ref.targets).sum(axis=1)
@@ -343,16 +343,17 @@ def intertwiner_sweep(
                 yield n, theta, seed, intertwiner_report(g, perturb(base, theta, seed), n)
 
 
+def _anticommutators(alice: np.ndarray) -> np.ndarray:
+    """A_iA_j + A_jA_i for every pair i < j, stacked in lexicographic order."""
+    i, j = np.triu_indices(len(alice), 1)
+    return alice[i] @ alice[j] + alice[j] @ alice[i]
+
+
 def anticommutation_residual(s: Strategy, n: int) -> float:
     """Σ_{i<j} ‖((A_iA_j + A_jA_i)/2 ⊗ I)|ψ⟩‖²; bounded by (1+√2)² n(n−1) ε."""
     require_chshn_shape(s, n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    total = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ac = (s.alice[i].matrix @ s.alice[j].matrix + s.alice[j].matrix @ s.alice[i].matrix) / 2.0
-            total += float((np.abs(ac @ mpsi) ** 2).sum())
-    return total
+    return float((np.abs(_anticommutators(s.alice) / 2.0 @ mpsi) ** 2).sum())
 
 
 def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
@@ -366,22 +367,20 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
     require_chshn_shape(s, n)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    ak = s.alice[k - 1].matrix
+    ak = s.alice[k - 1]
     best = None
     for t, (a, l) in enumerate(chshn_pair_order(n)):
         if a != k:
             continue
         sign = 1.0 if k < l else -1.0
-        nrm = sign_normalize(sign * s.bob[t].matrix + s.bob[t ^ 1].matrix)
+        nrm = sign_normalize(sign * s.bob[t] + s.bob[t ^ 1])
         dev = frobenius(ak @ mpsi - mpsi @ nrm.T)
         if best is None or dev < best[1]:
             best = (l, dev)
     return best
 
 
-def normalization_lemma_check(
-    r: Observable, s: Observable
-) -> tuple[np.ndarray, np.ndarray, float]:
+def normalization_lemma_check(r, s) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed form for the normalization error of (R+S)/√2.
 
     With C = (RS+SR)/2, the square of (R+S)/√2 − sgn(R+S) equals
@@ -391,9 +390,9 @@ def normalization_lemma_check(
     Since (R+S)² = 2(I+C), the rhs is evaluated on the eigenbasis of R+S with
     √(1+λ_C) = |λ_{R+S}|/√2, which is exact even when R+S is nearly singular.
     """
-    if r.dim != s.dim:
-        raise DimensionMismatch(f"dimensions differ: {r.dim} vs {s.dim}")
-    rm, sm = r.matrix, s.matrix
+    if np.shape(r) != np.shape(s):
+        raise DimensionMismatch(f"shapes differ: {np.shape(r)} vs {np.shape(s)}")
+    rm, sm = require_observables((r, s), "(R, S)")
     c = (rm @ sm + sm @ rm) / 2.0
     total = rm + sm
     lhs = total / np.sqrt(2.0) - sign_normalize(total)
@@ -447,21 +446,12 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
     p_b = dec.right_basis @ dec.right_basis.conj().T
     eye_a = np.eye(s.d_A, dtype=complex)
     eye_b = np.eye(s.d_B, dtype=complex)
-    inv_a = max(
-        frobenius((eye_a - p_a) @ o.matrix @ p_a) for o in s.alice
-    )
-    inv_b = max(
-        frobenius((eye_b - p_b) @ o.matrix @ p_b) for o in s.bob
-    )
-    anti = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            ac = s.alice[i].matrix @ s.alice[j].matrix + s.alice[j].matrix @ s.alice[i].matrix
-            anti = max(anti, frobenius(p_a @ ac @ p_a))
+    inv_a = max(frobenius((eye_a - p_a) @ o @ p_a) for o in s.alice)
+    inv_b = max(frobenius((eye_b - p_b) @ o @ p_b) for o in s.bob)
+    anti = max(map(frobenius, p_a @ _anticommutators(s.alice) @ p_a), default=0.0)
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    combs = _matched_combinations([o.matrix for o in s.alice])
-    bob_t = np.stack([o.matrix for o in s.bob]).transpose(0, 2, 1)
-    b_dev = max(map(frobenius, combs @ mpsi - mpsi @ bob_t))
+    combs = _matched_combinations(s.alice)
+    b_dev = max(map(frobenius, combs @ mpsi - mpsi @ s.bob.transpose(0, 2, 1)))
     verdict = (
         divisible
         and blocks_dev <= tol

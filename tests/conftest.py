@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
-from xorgame import Observable
-
 
 def random_hermitian(rng: np.random.Generator, d: int) -> np.ndarray:
     h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return (h + h.conj().T) / 2
 
 
-def random_observable(rng: np.random.Generator, d: int) -> Observable:
+def random_observable(rng: np.random.Generator, d: int) -> np.ndarray:
     """Random ±1 observable: random eigenbasis, random ±1 spectrum."""
     h = random_hermitian(rng, d)
     w, v = np.linalg.eigh(h)
     signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
     m = (v * signs) @ v.conj().T
-    return Observable((m + m.conj().T) / 2)
+    return (m + m.conj().T) / 2
 
 
 @pytest.fixture
@@ -44,5 +42,5 @@ def near_optimal_variants(n: int) -> list:
     return [
         perturb(s, 0.1, seed=n, include_bob=True),
         mixed,
-        Strategy(emb.d_A, emb.d_B, mixed.alice, mixed.bob, psi / np.linalg.norm(psi)),
+        Strategy(mixed.alice, mixed.bob, psi / np.linalg.norm(psi)),
     ]

@@ -17,7 +17,6 @@ import numpy as np
 
 from xorgame.games import chshn_pair_order, symmetrize
 from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
-from xorgame.strategies import Observable
 from xorgame.structure import IndexOutOfRange, _reference, _state_chains
 
 
@@ -41,17 +40,17 @@ class BitString:
         return [BitString(n, bits) for bits in itertools.product((0, 1), repeat=n)]
 
 
-def chain_product(obs: list[Observable], j: BitString) -> np.ndarray:
+def chain_product(obs: list[np.ndarray], j: BitString) -> np.ndarray:
     """Ordered product O_1^{j_1} ··· O_n^{j_n}; identity for the zero string."""
     if len(obs) != j.n:
         raise DimensionMismatch(f"got {len(obs)} observables for {j.n} bits")
-    d = obs[0].dim if obs else 1
+    d = len(obs[0]) if len(obs) else 1
     acc = np.eye(d, dtype=complex)
     for o, b in zip(obs, j.bits):
-        if o.dim != d:
+        if o.shape != (d, d):
             raise DimensionMismatch("observables have mixed dimensions")
         if b:
-            acc = acc @ o.matrix
+            acc = acc @ o
     return acc
 
 
@@ -71,8 +70,8 @@ def insertion_sign_right(j: BitString, k: int) -> int:
     return -1 if sum(j.bits[k:]) % 2 else 1
 
 
-def _pm_projectors(o: Observable) -> tuple[np.ndarray, np.ndarray]:
-    w, v = hermitian_eig(o.matrix)
+def _pm_projectors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = hermitian_eig(o)
     plus = v[:, w >= 0.0]
     minus = v[:, w < 0.0]
     return plus @ plus.conj().T, minus @ minus.conj().T
@@ -126,7 +125,7 @@ def direct_bob_residuals(s, n: int) -> tuple[float, ...]:
 
     f = {t: flipped(t) for t in range(1, n + 1)}
     return tuple(
-        frobenius(rows @ s.bob[col].matrix.T - ((1.0 if a < b else -1.0) * f[a] + f[b]))
+        frobenius(rows @ s.bob[col].T - ((1.0 if a < b else -1.0) * f[a] + f[b]))
         / np.sqrt(2.0**n)
         for col, (a, b) in enumerate(chshn_pair_order(n))
     )

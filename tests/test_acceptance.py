@@ -61,7 +61,7 @@ def _random_strategy(rng, n_alice, n_bob):
     bob = [random_observable(rng, d_b) for _ in range(n_bob)]
     psi = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
     psi /= np.linalg.norm(psi)
-    return Strategy(d_A=d_a, d_B=d_b, alice=alice, bob=bob, state=psi)
+    return Strategy(alice=alice, bob=bob, state=psi)
 
 
 class TestCriterion01QuantumBias:

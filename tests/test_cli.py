@@ -550,6 +550,20 @@ class TestWrongTypedFieldsAreInputErrors:
         self._assert_input_error(capsys, bad, ["structure", "verify", str(bad), "--n", "2"])
 
     @pytest.mark.parametrize(
+        "matrix",
+        [{"rows": 4, "cols": 4, "entries": [[float(i % 5 == 0), 0.0] for i in range(16)]},
+         {"rows": 2, "cols": 3, "entries": [[0.0, 0.0]] * 6},
+         {"rows": 2, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}],
+        ids=["wrong-dimension", "not-square", "not-hermitian"],
+    )
+    def test_malformed_observable(self, capsys, chsh2, tmp_path, matrix):
+        doc = sz.read_json(chsh2["can"])
+        doc["alice"][1] = matrix
+        bad = tmp_path / "strategy.json"
+        bad.write_text(json.dumps(doc))
+        self._assert_input_error(capsys, bad, ["strategy", "bias", chsh2["g"], str(bad)])
+
+    @pytest.mark.parametrize(
         "argv",
         [["structure", "verify", "{bad}", "--n", "2"],
          ["intertwiner", "report", "{g}", "{bad}", "--n", "2"]],

@@ -29,6 +29,12 @@ class TestNewGame:
         with pytest.raises(NotNormalized):
             new_game(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
+    def test_unnormalized_message_spells_a_plain_float(self):
+        with pytest.raises(NotNormalized) as info:
+            new_game(np.array([[4e12, 3.0]]))
+        assert "sum of |entries| is 4000000000003.0," in str(info.value)
+        assert "np.float64" not in str(info.value)
+
     def test_normalize_flag_scales(self):
         g = new_game(np.array([[1.0, 1.0], [1.0, -1.0]]), normalize=True)
         assert np.allclose(np.abs(g.matrix), 0.25, atol=1e-15)

@@ -19,7 +19,6 @@ from xorgame.relations import (
 )
 from xorgame.sdp import solve, verify_dual_feasible
 from xorgame.strategies import (
-    Observable,
     Strategy,
     bias,
     canonical_chshn,
@@ -192,8 +191,6 @@ class TestIdentity:
             psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
             psi /= np.linalg.norm(psi)
             s = Strategy(
-                d,
-                d,
                 tuple(random_observable(rng, d) for _ in range(2)),
                 tuple(random_observable(rng, d) for _ in range(2)),
                 psi,
@@ -212,8 +209,6 @@ class TestIdentity:
         g, _ = chsh_game(2)
         s = canonical_chshn(2)
         broken = object.__new__(Strategy)
-        object.__setattr__(broken, "d_A", s.d_A)
-        object.__setattr__(broken, "d_B", s.d_B)
         object.__setattr__(broken, "alice", s.alice)
         object.__setattr__(broken, "bob", s.bob)
         object.__setattr__(broken, "state", 0.9 * s.state)
@@ -224,8 +219,8 @@ class TestIdentity:
 class TestResidualValues:
     def test_all_identity_strategy_chsh2(self):
         g, _ = chsh_game(2)
-        e = Observable(np.eye(2, dtype=complex))
-        s = Strategy(2, 2, (e, e), (e, e), maximally_entangled(2))
+        e = np.eye(2, dtype=complex)
+        s = Strategy((e, e), (e, e), maximally_entangled(2))
         rel = chshn_relations_form1(2)
         r = residual(s, rel)
         assert r == pytest.approx(1.0 / RT2 - 0.5, abs=1e-9)
@@ -241,8 +236,8 @@ class TestResidualValues:
 
     def test_embedded_canonical_residual_vanishes(self):
         s = canonical_chshn(3)
-        junk_a = [Observable(np.diag([1.0 + 0j, -1.0])) for _ in s.alice]
-        junk_b = [Observable(np.eye(3, dtype=complex)) for _ in s.bob]
+        junk_a = [np.diag([1.0 + 0j, -1.0]) for _ in s.alice]
+        junk_b = [np.eye(3, dtype=complex) for _ in s.bob]
         emb = embed_with_junk(s, 2, 3, junk_a, junk_b)
         assert residual(emb, chshn_relations_form1(3)) < 1e-12
         assert residual(emb, chshn_relations_form2(3)) < 1e-12
@@ -263,8 +258,8 @@ def _pairwise_residual(s, rel):
     mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     total = 0.0
     for u, v in zip(rel.u, rel.v):
-        ua = sum(u[i] * s.alice[i].matrix for i in range(rel.n_alice))
-        vb = sum(v[j] * s.bob[j].matrix for j in range(rel.n_bob))
+        ua = sum(u[i] * s.alice[i] for i in range(rel.n_alice))
+        vb = sum(v[j] * s.bob[j] for j in range(rel.n_bob))
         diff = ua @ mpsi - mpsi @ vb.T
         total += float((np.abs(diff) ** 2).sum())
     return total

@@ -205,3 +205,21 @@ class TestConvergence:
         assert info.value.solution.iterations == 0
         assert np.all(np.isfinite(info.value.solution.z))
         assert "step collapsed" in str(info.value)
+
+    def test_singular_newton_system_at_scale_1e12_raises_with_diagnosis(self):
+        # S = Diag(y) − G turns singular in floating point; no LinAlgError escapes
+        g_sym = 1e12 * symmetrize(chsh_game(2)[0])
+        with pytest.raises(MaxIterations) as info:
+            solve(g_sym, 1e-8)
+        assert not info.value.solution.converged
+        assert "Newton system singular" in str(info.value)
+
+    def test_singular_newton_solve_raises_with_diagnosis(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(sdp_mod.np.linalg, "solve", singular)
+        with pytest.raises(MaxIterations) as info:
+            solve(symmetrize(chsh_game(2)[0]), 1e-8)
+        assert info.value.solution.iterations == 0
+        assert "Newton system singular" in str(info.value)

@@ -297,8 +297,8 @@ class TestArraysMatchPerEntryReference:
         ref = {
             "d_A": s.d_A,
             "d_B": s.d_B,
-            "alice": [reference_matrix(o.matrix) for o in s.alice],
-            "bob": [reference_matrix(o.matrix) for o in s.bob],
+            "alice": [reference_matrix(o) for o in s.alice],
+            "bob": [reference_matrix(o) for o in s.bob],
             "state": reference_pairs(s.state),
         }
         assert sz.dumps(sz.strategy_to_dict(s)) == oracle(ref)
@@ -382,13 +382,13 @@ class TestSpellingEdges:
                "extra": {"alice": [sz.matrix_to_dict(m) for m in extra]}}
         ref = {
             "strategy": {"d_A": s.d_A, "d_B": s.d_B,
-                         "alice": [reference_matrix(o.matrix) for o in s.alice],
-                         "bob": [reference_matrix(o.matrix) for o in s.bob],
+                         "alice": [reference_matrix(o) for o in s.alice],
+                         "bob": [reference_matrix(o) for o in s.bob],
                          "state": reference_pairs(s.state)},
             "report": {"t": reference_matrix(rep.t), **sz.report_to_dict(rep, omit=("t",))},
             "extra": {"alice": [reference_matrix(m) for m in extra]},
         }
-        assert sum(len(o.matrix.reshape(-1)) for o in s.alice + s.bob) > 3 * sz.ROWS_PER_FILL
+        assert sum(len(o.reshape(-1)) for o in (*s.alice, *s.bob)) > 3 * sz.ROWS_PER_FILL
         assert sz.dumps(doc) == oracle(ref)
 
 

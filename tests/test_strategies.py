@@ -1,16 +1,15 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from xorgame.games import chsh_game, new_game
-from xorgame.linalg import DimensionMismatch, matrix_to_vec, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, NonHermitian, matrix_to_vec, vec_to_matrix
 from xorgame.strategies import (
+    OBSERVABLE_HERMITIAN_TOL,
+    OBSERVABLE_SQUARE_TOL,
     BadDiagonal,
     InvalidK,
     NonRealBias,
     NotPsd,
-    Observable,
     Strategy,
     bias,
     canonical_chshn,
@@ -29,71 +28,111 @@ RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.diag([1.0 + 0j, -1.0])
+ANTI = np.array([[0.0, 1.0], [-1.0, 0.0]])
+SIDES = ["alice", "bob"]
 
 
-class TestObservable:
-    def test_accepts_pauli(self):
+class TestObservableStacks:
+    """Strategy checks each side's stack at once: Hermitian within
+    OBSERVABLE_HERMITIAN_TOL, then symmetrized, then O² = I within
+    OBSERVABLE_SQUARE_TOL; every error names the side and the index."""
+
+    @staticmethod
+    def _with(side, bad):
+        """canonical_chshn(2) with observable 1 of side replaced by bad."""
+        s = canonical_chshn(2)
+        stacks = {"alice": s.alice.copy(), "bob": s.bob.copy()}
+        stacks[side][1] = bad
+        return Strategy(stacks["alice"], stacks["bob"], s.state)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_accepts_pauli(self, side):
         for m in (SX, SY, SZ):
-            assert Observable(m).dim == 2
+            s = self._with(side, m)
+            assert np.array_equal(getattr(s, side)[1], m)
+            assert (s.d_A, s.d_B) == (2, 2)
+            assert not s.alice.flags.writeable and not s.bob.flags.writeable
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            Observable(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    @pytest.mark.parametrize("side", SIDES)
+    def test_hermitian_tolerance_edge(self, side):
+        # SZ + δ·[[0, 1], [−1, 0]] deviates from Hermitian by exactly 2δ
+        at = OBSERVABLE_HERMITIAN_TOL / 2
+        above = np.nextafter(at, 1.0)
+        self._with(side, SZ + at * ANTI)
+        with pytest.raises(NonHermitian, match=f"^{side} observable 1 deviates from Hermitian"):
+            self._with(side, SZ + above * ANTI)
 
-    def test_rejects_non_involution(self):
-        with pytest.raises(ValueError):
-            Observable(np.diag([1.0, 0.5]))
+    @pytest.mark.parametrize("side", SIDES)
+    def test_square_tolerance_edge(self, side):
+        # diag(1, −√(1 + t)) squares to I up to t, plus rounding of about 1e-16
+        def squaring_off_by(t):
+            return np.diag([1.0, -np.sqrt(1.0 + t)])
 
-    def test_symmetrizes_input(self):
-        tiny = 1e-12
-        m = SX + np.array([[0, tiny], [-tiny, 0]])
-        o = Observable(m)
-        assert np.abs(o.matrix - o.matrix.conj().T).max() == 0.0
+        self._with(side, squaring_off_by(OBSERVABLE_SQUARE_TOL * (1 - 1e-4)))
+        with pytest.raises(ValueError, match=f"^{side} observable 1 squared deviates"):
+            self._with(side, squaring_off_by(OBSERVABLE_SQUARE_TOL * (1 + 1e-4)))
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_symmetrizes_input(self, side):
+        s = self._with(side, SZ + OBSERVABLE_HERMITIAN_TOL / 2 * ANTI)
+        assert np.array_equal(getattr(s, side)[1], SZ)
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_rejects_non_finite(self, side):
+        with pytest.raises(ValueError, match=f"^{side} observable 1 contains non-finite"):
+            self._with(side, np.diag([1.0, np.nan]))
+
+    @pytest.mark.parametrize("side", SIDES)
+    def test_rejects_non_square_stack(self, side):
+        s = canonical_chshn(2)
+        stacks = {"alice": s.alice, "bob": s.bob, side: np.ones((2, 2, 3))}
+        with pytest.raises(DimensionMismatch, match=f"^{side} must be a stack of square"):
+            Strategy(stacks["alice"], stacks["bob"], s.state)
 
 
 class TestStrategy:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
-            Strategy(2, 2, (Observable(SX),), (Observable(SZ),), np.ones(4))
+            Strategy((SX,), (SZ,), np.ones(4))
 
     def test_rejects_wrong_state_dim(self):
         with pytest.raises(DimensionMismatch):
-            Strategy(2, 2, (Observable(SX),), (Observable(SZ),), maximally_entangled(3))
+            Strategy((SX,), (SZ,), maximally_entangled(3))
 
     def test_rejects_observable_dim_mismatch(self):
-        big = Observable(np.kron(SX, SZ))
-        with pytest.raises(DimensionMismatch):
-            Strategy(2, 2, (big,), (Observable(SZ),), maximally_entangled(2))
+        big = np.kron(SX, SZ)
+        for alice, bob in (((big,), (SZ,)), ((SZ,), (big,))):
+            with pytest.raises(DimensionMismatch, match="observables are"):
+                Strategy(alice, bob, maximally_entangled(2))
 
 
 class TestSigmaObservables:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_pairwise_anticommutation(self, k):
         fam = sigma_observables(k)
-        assert len(fam) == 2 * k + 1
-        assert all(o.dim == 2**k for o in fam)
+        assert fam.shape == (2 * k + 1, 2**k, 2**k)
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
-                anti = fam[i].matrix @ fam[j].matrix + fam[j].matrix @ fam[i].matrix
+                anti = fam[i] @ fam[j] + fam[j] @ fam[i]
                 assert np.abs(anti).max() < 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_full_product_is_scaled_identity(self, k):
         fam = sigma_observables(k)
-        prod = fam[0].matrix.copy()
+        prod = fam[0].copy()
         for o in fam[1:]:
-            prod = prod @ o.matrix
+            prod = prod @ o
         assert np.abs(prod - (-1j) ** k * np.eye(2**k)).max() < 1e-14
 
     def test_k1_family(self):
         fam = sigma_observables(1)
-        assert np.array_equal(fam[0].matrix, SX)
-        assert np.array_equal(fam[1].matrix, SZ)
-        assert np.array_equal(fam[2].matrix, SY)
+        assert np.array_equal(fam[0], SX)
+        assert np.array_equal(fam[1], SZ)
+        assert np.array_equal(fam[2], SY)
 
     def test_k2_third_member(self):
         fam = sigma_observables(2)
-        assert np.array_equal(fam[2].matrix, np.kron(SY, SX))
+        assert np.array_equal(fam[2], np.kron(SY, SX))
 
     def test_rejects_bad_k(self):
         for k in (0, -1, 1.5):
@@ -113,7 +152,7 @@ class TestCanonical:
         s = canonical_chshn(5)
         for i in range(5):
             for j in range(i + 1, 5):
-                anti = s.alice[i].matrix @ s.alice[j].matrix + s.alice[j].matrix @ s.alice[i].matrix
+                anti = s.alice[i] @ s.alice[j] + s.alice[j] @ s.alice[i]
                 assert np.abs(anti).max() < 1e-14
 
     def test_bob_matches_alice_combinations(self):
@@ -121,10 +160,10 @@ class TestCanonical:
         _, pairs = chsh_game(3)
         for t, (a, b) in enumerate(pairs):
             if a < b:
-                want = (s.alice[a - 1].matrix.T + s.alice[b - 1].matrix.T) / RT2
+                want = (s.alice[a - 1].T + s.alice[b - 1].T) / RT2
             else:
-                want = (s.alice[b - 1].matrix.T - s.alice[a - 1].matrix.T) / RT2
-            assert np.abs(s.bob[t].matrix - want).max() < 1e-15
+                want = (s.alice[b - 1].T - s.alice[a - 1].T) / RT2
+            assert np.abs(s.bob[t] - want).max() < 1e-15
 
     def test_state_is_maximally_entangled(self):
         s = canonical_chshn(4)
@@ -139,15 +178,15 @@ class TestBias:
 
     def test_identity_strategy_chsh2(self):
         g, _ = chsh_game(2)
-        e = Observable(np.eye(2, dtype=complex))
-        s = Strategy(2, 2, (e, e), (e, e), maximally_entangled(2))
+        e = np.eye(2, dtype=complex)
+        s = Strategy((e, e), (e, e), maximally_entangled(2))
         assert bias(g, s) == pytest.approx(0.5, abs=1e-14)
 
     def test_product_state_correlations(self):
         # ⟨A⊗B⟩ factorizes on product states
         g = new_game(np.array([[1.0]]))
         psi = np.kron([1.0, 0.0], [1.0 / RT2, 1.0 / RT2])
-        s = Strategy(2, 2, (Observable(SZ),), (Observable(SX),), psi)
+        s = Strategy((SZ,), (SX,), psi)
         assert bias(g, s) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -156,12 +195,12 @@ def _pairwise_bias(g, s):
     m = vec_to_matrix(s.state, s.d_A, s.d_B)
     total = 0.0 + 0.0j
     for si in range(g.n_alice):
-        am = s.alice[si].matrix @ m
+        am = s.alice[si] @ m
         for ti in range(g.n_bob):
             w = g.matrix[si, ti]
             if w == 0.0:
                 continue
-            total += w * np.vdot(s.state, matrix_to_vec(am @ s.bob[ti].matrix.T))
+            total += w * np.vdot(s.state, matrix_to_vec(am @ s.bob[ti].T))
     return total
 
 
@@ -178,8 +217,6 @@ class TestBiasMatchesPairwiseReference:
         g = new_game(rng.standard_normal((3, 5)), normalize=True)
         psi = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         s = Strategy(
-            4,
-            3,
             tuple(random_observable(rng, 4) for _ in range(3)),
             tuple(random_observable(rng, 3) for _ in range(5)),
             psi / np.linalg.norm(psi),
@@ -192,10 +229,8 @@ class TestBiasMatchesPairwiseReference:
         g = new_game(np.array([[1.0]]))
         broken = object.__new__(Strategy)
         for name, value in (
-            ("d_A", 2),
-            ("d_B", 2),
-            ("alice", (Observable(SX),)),
-            ("bob", (SimpleNamespace(matrix=np.array([[0, 1j], [0, 0]])),)),
+            ("alice", SX[None]),
+            ("bob", np.array([[[0, 1j], [0, 0]]])),
             ("state", maximally_entangled(2)),
         ):
             object.__setattr__(broken, name, value)
@@ -223,7 +258,7 @@ class TestTsirelson:
         psi = s.state
         for i in range(2):
             for j in range(3):
-                corr = np.vdot(psi, np.kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
+                corr = np.vdot(psi, np.kron(s.alice[i], s.bob[j]) @ psi)
                 assert abs(corr.real - z[i, 2 + j]) < 1e-10
                 assert abs(corr.imag) < 1e-12
 
@@ -232,7 +267,7 @@ class TestTsirelson:
         psi = s.state
         for i in range(2):
             for j in range(2):
-                corr = np.vdot(psi, np.kron(s.alice[i].matrix, s.bob[j].matrix) @ psi)
+                corr = np.vdot(psi, np.kron(s.alice[i], s.bob[j]) @ psi)
                 assert abs(corr) < 1e-12
 
     def test_dimension_is_power_of_two_of_half_count(self):
@@ -278,8 +313,8 @@ class TestSimulate:
     def test_deterministic_strategy_exact(self):
         # answering +1 on the single question wins every round
         g = new_game(np.array([[1.0]]))
-        e = Observable(np.eye(2, dtype=complex))
-        s = Strategy(2, 2, (e,), (e,), maximally_entangled(2))
+        e = np.eye(2, dtype=complex)
+        s = Strategy((e,), (e,), maximally_entangled(2))
         mean, stderr = simulate(g, s, 500, seed=7)
         assert mean == 1.0
         assert stderr == 0.0
@@ -306,8 +341,8 @@ class TestEmbedWithJunk:
     def test_bias_unchanged(self):
         g, _ = chsh_game(2)
         s = canonical_chshn(2)
-        junk_a = [Observable(np.diag([1.0 + 0j, -1.0, 1.0])) for _ in s.alice]
-        junk_b = [Observable(-np.eye(2, dtype=complex)) for _ in s.bob]
+        junk_a = [np.diag([1.0 + 0j, -1.0, 1.0]) for _ in s.alice]
+        junk_b = [-np.eye(2, dtype=complex) for _ in s.bob]
         emb = embed_with_junk(s, 3, 2, junk_a, junk_b)
         assert (emb.d_A, emb.d_B) == (5, 4)
         assert abs(bias(g, emb) - bias(g, s)) < 1e-12
@@ -317,17 +352,17 @@ class TestEmbedWithJunk:
         same = embed_with_junk(s, 0, 0)
         assert np.array_equal(same.state, s.state)
         assert all(
-            np.array_equal(a.matrix, b.matrix) for a, b in zip(same.alice, s.alice)
+            np.array_equal(a, b) for a, b in zip(same.alice, s.alice)
         )
 
     def test_junk_block_count_must_match(self):
         s = canonical_chshn(2)
         with pytest.raises(DimensionMismatch):
-            embed_with_junk(s, 2, 0, [Observable(np.eye(2, dtype=complex))], None)
+            embed_with_junk(s, 2, 0, [np.eye(2, dtype=complex)], None)
 
     def test_junk_block_dim_must_match(self):
         s = canonical_chshn(2)
-        junk = [Observable(np.eye(3, dtype=complex)) for _ in s.alice]
+        junk = [np.eye(3, dtype=complex) for _ in s.alice]
         with pytest.raises(DimensionMismatch):
             embed_with_junk(s, 2, 0, junk, None)
 
@@ -341,24 +376,24 @@ class TestPerturb:
         s = canonical_chshn(3)
         a = perturb(s, 0.1, seed=5)
         b = perturb(s, 0.1, seed=5)
-        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a.alice, b.alice))
+        assert all(np.array_equal(x, y) for x, y in zip(a.alice, b.alice))
 
     def test_different_seeds_differ(self):
         s = canonical_chshn(3)
         a = perturb(s, 0.1, seed=5)
         b = perturb(s, 0.1, seed=6)
-        assert not np.array_equal(a.alice[0].matrix, b.alice[0].matrix)
+        assert not np.array_equal(a.alice[0], b.alice[0])
 
     def test_bob_untouched_by_default(self):
         s = canonical_chshn(3)
         p = perturb(s, 0.3, seed=0)
-        assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(p.bob, s.bob))
-        assert not np.array_equal(p.alice[0].matrix, s.alice[0].matrix)
+        assert all(np.array_equal(x, y) for x, y in zip(p.bob, s.bob))
+        assert not np.array_equal(p.alice[0], s.alice[0])
 
     def test_include_bob(self):
         s = canonical_chshn(3)
         p = perturb(s, 0.3, seed=0, include_bob=True)
-        assert not np.array_equal(p.bob[0].matrix, s.bob[0].matrix)
+        assert not np.array_equal(p.bob[0], s.bob[0])
 
     def test_small_theta_small_bias_drop(self):
         g, _ = chsh_game(3)

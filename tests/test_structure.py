@@ -13,7 +13,6 @@ from xorgame.games import InvalidN, chsh_game, chshn_pair_order, new_game
 from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
 from xorgame.relations import certify_epsilon, chshn_relations_form2
 from xorgame.strategies import (
-    Observable,
     Strategy,
     bias,
     canonical_chshn,
@@ -73,12 +72,12 @@ class TestChainProduct:
     def test_single_bit_selects_observable(self):
         fam = sigma_observables(2)[:4]
         out = chain_product(fam, BitString(4, (1, 0, 0, 0)))
-        assert np.array_equal(out, fam[0].matrix)
+        assert np.array_equal(out, fam[0])
 
     def test_two_bits_multiply_in_order(self):
         fam = sigma_observables(2)
         out = chain_product(fam, BitString(5, (1, 1, 0, 0, 0)))
-        assert np.abs(out - fam[0].matrix @ fam[1].matrix).max() < 1e-15
+        assert np.abs(out - fam[0] @ fam[1]).max() < 1e-15
 
     def test_length_mismatch(self):
         fam = sigma_observables(1)
@@ -99,9 +98,9 @@ class TestInsertionSigns:
                 flipped[i - 1] ^= 1
                 target = chain_product(fam, BitString(n, tuple(flipped)))
                 left = insertion_sign_left(i, j)
-                assert np.abs(fam[i - 1].matrix @ chain - left * target).max() < 1e-13
+                assert np.abs(fam[i - 1] @ chain - left * target).max() < 1e-13
                 right = insertion_sign_right(j, i)
-                assert np.abs(chain @ fam[i - 1].matrix - right * target).max() < 1e-13
+                assert np.abs(chain @ fam[i - 1] - right * target).max() < 1e-13
 
     def test_zero_string_signs_positive(self):
         j = BitString(6, (0,) * 6)
@@ -182,8 +181,6 @@ class TestBuildIntertwiner:
             psi = rng.standard_normal(d * d) + 1j * rng.standard_normal(d * d)
             psi /= np.linalg.norm(psi)
             s = Strategy(
-                d,
-                d,
                 tuple(random_observable(rng, d) for _ in range(2)),
                 tuple(random_observable(rng, d) for _ in range(2)),
                 psi,
@@ -207,8 +204,8 @@ class TestBuildIntertwiner:
         t = build_intertwiner(s, n)
         eye = np.eye(s.d_B, dtype=complex)
         for i in range(n):
-            lhs = np.kron(s.alice[i].matrix, eye) @ t
-            rhs = t @ np.kron(s.alice[i].matrix, np.eye(s.d_A, dtype=complex))
+            lhs = np.kron(s.alice[i], eye) @ t
+            rhs = t @ np.kron(s.alice[i], np.eye(s.d_A, dtype=complex))
             assert frobenius(lhs - rhs) < 1e-10
 
     def test_dimension_mismatch(self):
@@ -237,11 +234,11 @@ def _kron_residuals(s, n, t):
     eye_b = np.eye(s.d_B, dtype=complex)
     eye_d = np.eye(ref.d_A, dtype=complex)
     alice = [
-        frobenius(np.kron(o.matrix, eye_b) @ t - t @ np.kron(ot.matrix, eye_d))
+        frobenius(np.kron(o, eye_b) @ t - t @ np.kron(ot, eye_d))
         for o, ot in zip(s.alice, ref.alice)
     ]
     bob = [
-        frobenius(np.kron(eye_a, o.matrix) @ t - t @ np.kron(eye_d, ot.matrix))
+        frobenius(np.kron(eye_a, o) @ t - t @ np.kron(eye_d, ot))
         for o, ot in zip(s.bob, ref.bob)
     ]
     return alice, bob
@@ -287,8 +284,8 @@ class TestIntertwinerReport:
         n = 3
         g, _ = chsh_game(n)
         s = canonical_chshn(n)
-        junk_a = [Observable(np.diag([1.0 + 0j, -1.0, -1.0])) for _ in s.alice]
-        junk_b = [Observable(np.eye(2, dtype=complex)) for _ in s.bob]
+        junk_a = [np.diag([1.0 + 0j, -1.0, -1.0]) for _ in s.alice]
+        junk_b = [np.eye(2, dtype=complex) for _ in s.bob]
         emb = embed_with_junk(s, 3, 2, junk_a, junk_b)
         rep = intertwiner_report(g, emb, n)
         assert abs(rep.frob_norm - 1.0) < 1e-9
@@ -374,7 +371,7 @@ def _reshape_residuals(s, n, t):
         ours_first = layout.reshape(layout.shape[0], -1)
         ref_last = layout.reshape(-1, d)
         return [
-            frobenius((o.matrix @ ours_first).reshape(-1) - (ref_last @ ot.matrix).reshape(-1))
+            frobenius((o @ ours_first).reshape(-1) - (ref_last @ ot).reshape(-1))
             for o, ot in zip(ours, theirs)
         ]
 
@@ -527,9 +524,8 @@ class TestAnticommutationResidual:
         assert anticommutation_residual(canonical_chshn(3), 3) < 1e-10
 
     def test_commuting_observables_give_one(self):
-        sz = Observable(SZ)
         bob = canonical_chshn(2).bob
-        s = Strategy(2, 2, (sz, sz), bob, maximally_entangled(2))
+        s = Strategy((SZ, SZ), bob, maximally_entangled(2))
         assert anticommutation_residual(s, 2) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("theta", [0.05, 0.1, 0.2])
@@ -571,26 +567,26 @@ class TestAbSwitch:
     def test_fewer_alice_observables_than_k(self):
         c = canonical_chshn(2)
         with pytest.raises(DimensionMismatch):
-            ab_switch_check(Strategy(2, 2, c.alice[:1], c.bob, c.state), 2, 2)
+            ab_switch_check(Strategy(c.alice[:1], c.bob, c.state), 2, 2)
 
 
 class TestNormalizationLemma:
     def test_anticommuting_pair(self):
-        lhs_sq, rhs_sq, gap = normalization_lemma_check(Observable(SX), Observable(SZ))
+        lhs_sq, rhs_sq, gap = normalization_lemma_check(SX, SZ)
         assert np.abs(lhs_sq - rhs_sq).max() < 1e-12
         # anticommutator vanishes, so both sides must be zero
         assert np.abs(lhs_sq).max() < 1e-12
         assert gap >= -1e-9
 
     def test_equal_pair(self):
-        lhs_sq, rhs_sq, gap = normalization_lemma_check(Observable(SX), Observable(SX))
+        lhs_sq, rhs_sq, gap = normalization_lemma_check(SX, SX)
         assert np.abs(lhs_sq - (RT2 - 1) ** 2 * np.eye(2)).max() < 1e-12
         assert np.abs(lhs_sq - rhs_sq).max() < 1e-12
         assert gap >= -1e-9
 
     def test_diagonal_commuting_pair_scalar_map(self):
-        r = Observable(np.diag([1.0 + 0j, 1.0, -1.0]))
-        s = Observable(np.diag([1.0 + 0j, -1.0, -1.0]))
+        r = np.diag([1.0 + 0j, 1.0, -1.0])
+        s = np.diag([1.0 + 0j, -1.0, -1.0])
         lhs_sq, rhs_sq, gap = normalization_lemma_check(r, s)
         # R+S diagonal entries 2, 0, −2 → lhs eigenvalues (√2−1)², 1, (√2−1)²
         want = np.diag([(RT2 - 1) ** 2, 1.0, (RT2 - 1) ** 2])
@@ -609,9 +605,11 @@ class TestNormalizationLemma:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            normalization_lemma_check(
-                Observable(SX), Observable(np.eye(4, dtype=complex))
-            )
+            normalization_lemma_check(SX, np.eye(4, dtype=complex))
+
+    def test_rejects_a_non_observable(self):
+        with pytest.raises(ValueError, match=r"^\(R, S\) observable 1 squared deviates"):
+            normalization_lemma_check(SX, np.diag([1.0, 0.5]))
 
 
 class TestVerifyOptimalForm:
@@ -627,8 +625,8 @@ class TestVerifyOptimalForm:
 
     def test_junk_embedded_still_passes(self):
         s = canonical_chshn(3)
-        junk_a = [Observable(np.diag([1.0 + 0j, -1.0])) for _ in s.alice]
-        junk_b = [Observable(np.eye(3, dtype=complex)) for _ in s.bob]
+        junk_a = [np.diag([1.0 + 0j, -1.0]) for _ in s.alice]
+        junk_b = [np.eye(3, dtype=complex) for _ in s.bob]
         emb = embed_with_junk(s, 2, 3, junk_a, junk_b)
         rep = verify_optimal_form(emb, 3)
         assert rep.verdict
@@ -640,9 +638,9 @@ class TestVerifyOptimalForm:
         s = canonical_chshn(n)
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u = np.linalg.qr(h)[0]
-        alice = tuple(Observable(u @ o.matrix @ u.conj().T) for o in s.alice)
+        alice = tuple(u @ o @ u.conj().T for o in s.alice)
         m = u @ vec_to_matrix(s.state, 4, 4)
-        rotated = Strategy(4, 4, alice, s.bob, matrix_to_vec(m))
+        rotated = Strategy(alice, s.bob, matrix_to_vec(m))
         from xorgame.relations import chshn_relations_form1, residual
 
         assert residual(rotated, chshn_relations_form1(n)) < 1e-9
@@ -669,10 +667,10 @@ class TestVerifyOptimalForm:
             ref = 0.0
             for t, (a, b) in enumerate(chshn_pair_order(n)):
                 if a < b:
-                    comb = (s.alice[a - 1].matrix + s.alice[b - 1].matrix) / RT2
+                    comb = (s.alice[a - 1] + s.alice[b - 1]) / RT2
                 else:
-                    comb = (s.alice[b - 1].matrix - s.alice[a - 1].matrix) / RT2
-                ref = max(ref, frobenius(comb @ mpsi - mpsi @ s.bob[t].matrix.T))
+                    comb = (s.alice[b - 1] - s.alice[a - 1]) / RT2
+                ref = max(ref, frobenius(comb @ mpsi - mpsi @ s.bob[t].T))
             got = verify_optimal_form(s, n).b_block_relation
             assert ref > 1e-3
             assert abs(got - ref) <= 1e-12
