@@ -34,7 +34,8 @@ class TooLarge(ValueError):
 
 @dataclass(frozen=True)
 class XorGame:
-    """Normalized real game matrix with question-set sizes."""
+    """Normalized real game matrix with question-set sizes; the matrix is
+    stored as a read-only copy."""
 
     n_alice: int
     n_bob: int
@@ -42,7 +43,7 @@ class XorGame:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)
         if m.shape != (self.n_alice, self.n_bob) or m.size == 0:
             raise ValueError(f"matrix shape {m.shape} does not match {self.n_alice}x{self.n_bob}")
         if not np.all(np.isfinite(m)):
@@ -50,6 +51,7 @@ class XorGame:
         total = np.abs(m).sum()
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"sum of |entries| is {float(total)!r}, must be 1 within {NORMALIZATION_TOL}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import InvalidN, XorGame, chshn_matrix, chshn_pair_order, symmetrize
-from .linalg import DimensionMismatch, hermitian_eig, vec_to_matrix
+from .linalg import DimensionMismatch, hermitian_eig
 from .strategies import Strategy, bias
 
 DEFAULT_CUTOFF = 1e-9
@@ -32,24 +32,26 @@ class DualInfeasible(ValueError):
 @dataclass(frozen=True)
 class RelationSystem:
     """Dual weights y and the relation matrices u (r × n_alice, rows u_k)
-    and v (r × n_bob, rows v_k)."""
+    and v (r × n_bob, rows v_k), finite and stored as read-only copies."""
 
     y: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).reshape(-1)
-        u = np.ascontiguousarray(self.u, dtype=float)
-        v = np.ascontiguousarray(self.v, dtype=float)
+        y = np.array(self.y, dtype=float).reshape(-1)
+        u = np.array(self.u, dtype=float, order="C")
+        v = np.array(self.v, dtype=float, order="C")
         if u.ndim != 2 or v.ndim != 2 or len(u) != len(v) or y.size != u.shape[1] + v.shape[1]:
             raise DimensionMismatch(
                 f"y, u, v have shapes {y.shape}, {u.shape}, {v.shape}; "
                 "expected (n_alice + n_bob,), (r, n_alice), (r, n_bob)"
             )
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        for name, arr in (("y", y), ("u", u), ("v", v)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"relation {name} contains non-finite entries")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def n_alice(self) -> int:
@@ -147,11 +149,10 @@ def residual(s: Strategy, rel: RelationSystem) -> float:
             f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
             f"relations want {rel.n_alice}x{rel.n_bob}"
         )
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     # (u_k·A⃗ ⊗ I)|ψ⟩ = Σ_s u_ks·A_s M_ψ and (I ⊗ v_k·B⃗)|ψ⟩ = Σ_t v_kt·M_ψ B_tᵀ:
     # one product per observable, then one per side over the pairs
-    am = s.alice @ mpsi
-    mb = mpsi @ s.bob.transpose(0, 2, 1)
+    am = s.alice @ s.state
+    mb = s.state @ s.bob.transpose(0, 2, 1)
     diff = rel.u @ am.reshape(rel.n_alice, -1) - rel.v @ mb.reshape(rel.n_bob, -1)
     return float(np.vdot(diff, diff).real)
 

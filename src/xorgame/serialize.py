@@ -222,7 +222,10 @@ def y_from_dict(d) -> np.ndarray:
         y = d["y"]
     except (KeyError, TypeError) as exc:
         raise FileFormatError(f"y file must have a 'y' list: {exc}")
-    return _float_list(y, "y")
+    y = _float_list(y, "y")
+    if not np.isfinite(y).all():
+        raise ValueError("y contains non-finite entries")
+    return y
 
 
 def report_to_dict(rep, omit=()) -> dict:

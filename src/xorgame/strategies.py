@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import InvalidN, XorGame, chshn_pair_order
-from .linalg import (
-    DimensionMismatch,
-    NonHermitian,
-    frobenius,
-    hermitian_eig,
-    vec_to_matrix,
-)
+from .linalg import DimensionMismatch, NonHermitian, frobenius, hermitian_eig
 
 OBSERVABLE_HERMITIAN_TOL = 1e-10
 OBSERVABLE_SQUARE_TOL = 1e-9
@@ -81,7 +75,9 @@ def require_observables(obs, name: str) -> np.ndarray:
 @dataclass(frozen=True)
 class Strategy:
     """Alice's (n, d_A, d_A) and Bob's (m, d_B, d_B) stacks of ±1
-    observables (require_observables) and a shared state on C^d_A ⊗ C^d_B."""
+    observables (require_observables) and a shared unit state on
+    C^d_A ⊗ C^d_B, given as a vector Σ ψ_ij |i⟩⊗|j⟩ or as its matrix and
+    stored as the read-only d_A × d_B matrix M_ψ = Σ ψ_ij |i⟩⟨j|."""
 
     alice: np.ndarray
     bob: np.ndarray
@@ -91,14 +87,18 @@ class Strategy:
         alice = require_observables(self.alice, "alice")
         bob = require_observables(self.bob, "bob")
         d_a, d_b = alice.shape[-1], bob.shape[-1]
-        psi = np.asarray(self.state, dtype=complex).reshape(-1)
-        if psi.size != d_a * d_b:
+        psi = np.array(self.state, dtype=complex)
+        if psi.shape not in ((d_a * d_b,), (d_a, d_b)):
             raise DimensionMismatch(
-                f"state has dim {psi.size}, observables are {d_a}- and {d_b}-dim"
+                f"state has shape {psi.shape}, observables are {d_a}- and {d_b}-dim"
             )
+        if not np.isfinite(psi).all():
+            raise ValueError("state contains non-finite entries")
         nrm = np.linalg.norm(psi)
         if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm {nrm!r} deviates from 1")
+        psi = psi.reshape(d_a, d_b)
+        psi.flags.writeable = False
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
         object.__setattr__(self, "state", psi)
@@ -139,8 +139,7 @@ def _correlations(alice: np.ndarray, bob: np.ndarray, m: np.ndarray) -> np.ndarr
 def bias(g: XorGame, s: Strategy) -> float:
     """Success bias Σ_st G_st ⟨ψ| A_s ⊗ B_t |ψ⟩."""
     require_game_shape(g, s)
-    m = vec_to_matrix(s.state, s.d_A, s.d_B)
-    total = (g.matrix * _correlations(s.alice, s.bob, m)).sum()
+    total = (g.matrix * _correlations(s.alice, s.bob, s.state)).sum()
     if abs(total.imag) > 1e-8:
         raise NonRealBias(f"bias has imaginary part {total.imag:.3e}")
     return float(total.real)
@@ -248,7 +247,7 @@ def simulate(g: XorGame, s: Strategy, rounds: int, seed: int) -> tuple[float, fl
     corr = _correlations(
         np.concatenate((s.alice, np.eye(s.d_A)[None])),
         np.concatenate((s.bob, np.eye(s.d_B)[None])),
-        vec_to_matrix(s.state, s.d_A, s.d_B),
+        s.state,
     ).real
     si, ti = np.nonzero(g.matrix)
     w = g.matrix[si, ti]
@@ -293,7 +292,7 @@ def embed_with_junk(
         big[:, -extra:, -extra:] = junk
         return big
 
-    psi = np.pad(vec_to_matrix(s.state, s.d_A, s.d_B), ((0, extra_A), (0, extra_B)))
+    psi = np.pad(s.state, ((0, extra_A), (0, extra_B)))
     return Strategy(
         extend(s.alice, junk_alice, extra_A, "Alice"), extend(s.bob, junk_bob, extra_B, "Bob"), psi
     )

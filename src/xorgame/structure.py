@@ -22,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .games import NORMALIZATION_TOL, XorGame, chsh_game, chshn_matrix, chshn_pair_order
-from .linalg import (
-    DimensionMismatch,
-    frobenius,
-    hermitian_eig,
-    schmidt,
-    sign_normalize,
-    vec_to_matrix,
-)
+from .linalg import DimensionMismatch, frobenius, hermitian_eig, schmidt, sign_normalize
 from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
 from .strategies import (
     Strategy,
@@ -117,7 +110,7 @@ def _reference(n: int) -> _Reference:
     game = chshn_matrix(n)
     targets = np.ascontiguousarray(np.sign(game).T)
     relations = chshn_relations_form2(n)
-    for arr in (ybar, signs, targets, game, relations.y, relations.u, relations.v):
+    for arr in (ybar, signs, targets, game):
         arr.flags.writeable = False
     return _Reference(ybar, signs, taus, targets, game, relations)
 
@@ -143,7 +136,7 @@ def _state_chains(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
     C_j = A^j·M_ψ, as a (2ⁿ, d_A, d_B) stack, for every bit string j."""
     require_chshn_shape(s, n)
     prods = _chain_products(s.alice)
-    return prods, prods @ vec_to_matrix(s.state, s.d_A, s.d_B)
+    return prods, prods @ s.state
 
 
 def _chain_span(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +154,7 @@ def _chain_span(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     p = prods.reshape(-1, s.d_A)
     lam, v = np.linalg.eigh(p.conj().T @ p)
     root = np.sqrt(lam)
-    r = (root[:, None] * v.conj().T) @ vec_to_matrix(s.state, s.d_A, s.d_B)
+    r = (root[:, None] * v.conj().T) @ s.state
     return chains, p @ (v / root), r
 
 
@@ -352,8 +345,7 @@ def _anticommutators(alice: np.ndarray) -> np.ndarray:
 def anticommutation_residual(s: Strategy, n: int) -> float:
     """Σ_{i<j} ‖((A_iA_j + A_jA_i)/2 ⊗ I)|ψ⟩‖²; bounded by (1+√2)² n(n−1) ε."""
     require_chshn_shape(s, n)
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
-    return float((np.abs(_anticommutators(s.alice) / 2.0 @ mpsi) ** 2).sum())
+    return float((np.abs(_anticommutators(s.alice) / 2.0 @ s.state) ** 2).sum())
 
 
 def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
@@ -366,7 +358,6 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
     require_chshn_shape(s, n)
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     ak = s.alice[k - 1]
     best = None
     for t, (a, l) in enumerate(chshn_pair_order(n)):
@@ -374,7 +365,7 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
             continue
         sign = 1.0 if k < l else -1.0
         nrm = sign_normalize(sign * s.bob[t] + s.bob[t ^ 1])
-        dev = frobenius(ak @ mpsi - mpsi @ nrm.T)
+        dev = frobenius(ak @ s.state - s.state @ nrm.T)
         if best is None or dev < best[1]:
             best = (l, dev)
     return best
@@ -449,9 +440,8 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
     inv_a = max(frobenius((eye_a - p_a) @ o @ p_a) for o in s.alice)
     inv_b = max(frobenius((eye_b - p_b) @ o @ p_b) for o in s.bob)
     anti = max(map(frobenius, p_a @ _anticommutators(s.alice) @ p_a), default=0.0)
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
     combs = _matched_combinations(s.alice)
-    b_dev = max(map(frobenius, combs @ mpsi - mpsi @ s.bob.transpose(0, 2, 1)))
+    b_dev = max(map(frobenius, combs @ s.state - s.state @ s.bob.transpose(0, 2, 1)))
     verdict = (
         divisible
         and blocks_dev <= tol

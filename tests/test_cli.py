@@ -507,6 +507,68 @@ class TestMalformedInputNamesTheFile:
         assert err.startswith(f"xorgame: error: {bad}: ")
 
 
+def _with_nan(path, keys):
+    """The JSON document at path with a NaN at the entry that keys lead to."""
+    doc = sz.read_json(path)
+    *head, last = keys
+    inner = doc
+    for k in head:
+        inner = inner[k]
+    inner[last] = float("nan")
+    return doc
+
+
+NON_FINITE_CASES = {
+    "strategy-bias": ("can", ["state", 0, 0], ["strategy", "bias", "{g}", "{bad}"]),
+    "strategy-perturb": ("can", ["state", 0, 0],
+                         ["strategy", "perturb", "{bad}", "--theta", "0.1", "--seed", "0",
+                          "--out", "{out}"]),
+    "structure-verify": ("can", ["state", 0, 0], ["structure", "verify", "{bad}", "--n", "2"]),
+    "intertwiner-report": ("can", ["state", 0, 0],
+                           ["intertwiner", "report", "{g}", "{bad}", "--n", "2"]),
+    "relations-residual": ("rel", ["pairs", 0, "u", 0],
+                           ["relations", "residual", "{g}", "{can}", "{bad}"]),
+    "relations-extract": ("y", ["y", 0], ["relations", "extract", "{g}", "{bad}"]),
+}
+
+
+class TestInvalidNumbersNameTheFile:
+    """Non-finite numbers in a strategy, relation or y file, and a z that
+    is no correlation matrix for the given sizes, exit 1 with one error
+    line naming the file, and write nothing."""
+
+    @staticmethod
+    def _assert_named(capsys, chsh2, tmp_path, doc, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out.json"
+        code, stdout, err = run(
+            capsys, *(a.format(bad=str(bad), out=str(out), **chsh2) for a in argv)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith(f"xorgame: error: {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(NON_FINITE_CASES))
+    def test_non_finite(self, capsys, chsh2, tmp_path, case):
+        source, keys, argv = NON_FINITE_CASES[case]
+        doc = _with_nan(chsh2[source], keys)
+        self._assert_named(capsys, chsh2, tmp_path, doc, argv)
+
+    @pytest.mark.parametrize("case", ["wrong-shape", "empty", "not-psd"])
+    def test_tsirelson_z(self, capsys, chsh2, tmp_path, case):
+        # a CHSH(2) z is 4 × 4, so --m 3 wants 5 × 5; z[0, 1] = z[1, 0] = 2
+        # gives the eigenvalue −1
+        z = np.zeros((0, 0)) if case == "empty" else np.eye(4)
+        m = "3" if case == "wrong-shape" else "2"
+        if case == "not-psd":
+            z[0, 1] = z[1, 0] = 2.0
+        doc = json.loads(sz.dumps(sz.matrix_to_dict(z)))
+        argv = ["strategy", "tsirelson", "--z", "{bad}", "--n", "2", "--m", m, "--out", "{out}"]
+        self._assert_named(capsys, chsh2, tmp_path, doc, argv)
+
+
 class TestWrongTypedFieldsAreInputErrors:
     """A field of the wrong type or shape exits 1 with one error line naming
     the file; a well-formed but invalid game stays `game check`'s verdict

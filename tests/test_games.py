@@ -52,6 +52,15 @@ class TestNewGame:
         g = new_game(np.array([[1.0]]))
         assert g.matrix[0, 0] == 1.0
 
+    @pytest.mark.parametrize("build", [new_game, lambda m: XorGame(2, 2, m)])
+    def test_matrix_is_a_read_only_copy(self, build):
+        m = np.array([[0.25, 0.25], [0.25, -0.25]])
+        g = build(m)
+        m[0, 0] = 5.0
+        assert np.abs(g.matrix).sum() == 1.0
+        with pytest.raises(ValueError):
+            g.matrix[0, 0] = 5.0
+
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_normalize_always_valid(self, n, m, seed):

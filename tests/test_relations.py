@@ -300,6 +300,25 @@ class TestRelationSystemType:
         with pytest.raises(DimensionMismatch):
             RelationSystem(np.ones(4), np.ones(2), np.ones(2))
 
+    def test_arrays_are_read_only_copies(self):
+        ref = chshn_relations_form2(2)
+        inputs = {name: getattr(ref, name).copy() for name in ("y", "u", "v")}
+        rel = RelationSystem(**inputs)
+        for name, arr in inputs.items():
+            arr[0] = 5.0
+            assert np.array_equal(getattr(rel, name), getattr(ref, name))
+            with pytest.raises(ValueError):
+                getattr(rel, name)[0] = 5.0
+
+    @pytest.mark.parametrize("name", ["y", "u", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, name, bad):
+        ref = chshn_relations_form2(2)
+        inputs = {k: getattr(ref, k).copy() for k in ("y", "u", "v")}
+        inputs[name].flat[1] = bad
+        with pytest.raises(ValueError, match=f"^relation {name} contains non-finite"):
+            RelationSystem(**inputs)
+
     @given(st.integers(2, 4))
     @settings(max_examples=10, deadline=None)
     def test_r_counts_pairs(self, n):

@@ -472,7 +472,7 @@ class TestReaderMatchesPerEntryParse:
         s = perturb(canonical_chshn(2), 0.1, 4)
         d = json.loads(sz.dumps(sz.strategy_to_dict(s)))
         state = np.array([reference_parse_complex(v) for v in d["state"]], dtype=complex)
-        assert same_bits(sz.strategy_from_dict(d).state, state)
+        assert same_bits(sz.strategy_from_dict(d).state, state.reshape(s.d_A, s.d_B))
 
 
 class TestWrongTypedFields:

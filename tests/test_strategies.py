@@ -105,6 +105,33 @@ class TestStrategy:
             with pytest.raises(DimensionMismatch, match="observables are"):
                 Strategy(alice, bob, maximally_entangled(2))
 
+    def test_state_is_the_read_only_matrix(self):
+        # ψ on C² ⊗ C³, given as the vector with ψ_ij at 3i + j or as M_ψ
+        m = np.arange(6).reshape(2, 3) / np.linalg.norm(np.arange(6))
+        bob = (np.diag([1.0, -1.0, 1.0]),)
+        for given in (m.reshape(-1), m):
+            s = Strategy((SZ,), bob, given)
+            assert np.array_equal(s.state, m)
+            assert not s.state.flags.writeable
+            with pytest.raises(ValueError):
+                s.state[0, 0] = 1.0
+        with pytest.raises(DimensionMismatch, match=r"^state has shape \(3, 2\)"):
+            Strategy((SZ,), bob, m.T)
+        assert canonical_chshn(3).state.shape == (4, 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_state(self, bad):
+        psi = maximally_entangled(2)
+        psi[1] = bad
+        with pytest.raises(ValueError, match="^state contains non-finite"):
+            Strategy((SX,), (SZ,), psi)
+
+    def test_state_does_not_alias_its_input(self):
+        psi = maximally_entangled(2)
+        s = Strategy((SX,), (SZ,), psi)
+        psi[0] = 5.0
+        assert np.array_equal(s.state, maximally_entangled(2).reshape(2, 2))
+
 
 class TestSigmaObservables:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -167,7 +194,7 @@ class TestCanonical:
 
     def test_state_is_maximally_entangled(self):
         s = canonical_chshn(4)
-        assert np.array_equal(s.state, maximally_entangled(4))
+        assert np.array_equal(s.state, maximally_entangled(4).reshape(4, 4))
 
 
 class TestBias:
@@ -231,7 +258,7 @@ class TestBiasMatchesPairwiseReference:
         for name, value in (
             ("alice", SX[None]),
             ("bob", np.array([[[0, 1j], [0, 0]]])),
-            ("state", maximally_entangled(2)),
+            ("state", maximally_entangled(2).reshape(2, 2)),
         ):
             object.__setattr__(broken, name, value)
         with pytest.raises(NonRealBias):
@@ -255,7 +282,7 @@ class TestTsirelson:
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         z = x @ x.T
         s = tsirelson_strategy(z, 2, 3)
-        psi = s.state
+        psi = s.state.reshape(-1)
         for i in range(2):
             for j in range(3):
                 corr = np.vdot(psi, np.kron(s.alice[i], s.bob[j]) @ psi)
@@ -264,7 +291,7 @@ class TestTsirelson:
 
     def test_identity_z_gives_zero_correlations(self):
         s = tsirelson_strategy(np.eye(4), 2, 2)
-        psi = s.state
+        psi = s.state.reshape(-1)
         for i in range(2):
             for j in range(2):
                 corr = np.vdot(psi, np.kron(s.alice[i], s.bob[j]) @ psi)
