@@ -191,9 +191,7 @@ def _cmd_strategy_canonical(args, inputs):
 
 def _cmd_strategy_tsirelson(args, inputs):
     zm = _load(args.z, serialize.matrix_from_dict, inputs)
-    if np.abs(zm.imag).max(initial=0.0) > 1e-9:
-        raise ValueError(f"{args.z}: correlation matrix must be real")
-    s = _naming(args.z, tsirelson_strategy, zm.real, args.n, args.m)
+    s = _naming(args.z, tsirelson_strategy, zm, args.n, args.m)
     return _artifact(serialize.strategy_to_dict(s), args), EXIT_OK
 
 

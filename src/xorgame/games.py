@@ -60,13 +60,12 @@ def new_game(matrix, normalize: bool = False, labels: tuple[str, ...] | None = N
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.size == 0:
         raise ValueError(f"game matrix must be non-empty 2-d, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("game matrix contains non-finite entries")
     total = np.abs(m).sum()
     if total == 0.0:
         raise ZeroMatrix("all entries are zero; normalization impossible")
     if normalize:
-        m = m / total
+        with np.errstate(invalid="ignore"):  # an inf total gives NaN, which XorGame rejects
+            m = m / total
     return XorGame(m.shape[0], m.shape[1], m, labels)
 
 

@@ -1,12 +1,12 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream (games, SDP, strategies, structure checks) runs on the
-primitives in this module: the Hermitian eigensolver, the vector/matrix
-reshaping bijection, Schmidt decompositions and operator sign
-normalization.  The eigensolver is LAPACK ``eigh`` behind an entrywise
-Hermiticity check, so the last digits of its results, like those of every
-BLAS product in ``sdp.solve``, vary between BLAS builds and CPU kernels; the
-solver's values agree across hosts within the certified duality gap.
+The SDP, relations, strategies and structure checks use its Hermitian
+eigensolver, Schmidt decompositions and sign normalization; strategies keep
+their state as its matrix, so only `schmidt` reads a state through the
+vector/matrix bijection.  The eigensolver is LAPACK ``eigh`` behind an
+entrywise Hermiticity check, so the last digits of its results, like those
+of every BLAS product in ``sdp.solve``, vary between BLAS builds and CPU
+kernels; the solver's values agree across hosts within the certified gap.
 """
 from __future__ import annotations
 

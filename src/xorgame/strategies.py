@@ -8,6 +8,7 @@ embedded/perturbed variants used by the verification machinery.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ OBSERVABLE_HERMITIAN_TOL = 1e-10
 OBSERVABLE_SQUARE_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
 
+_EYE2 = np.eye(2, dtype=complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -145,6 +147,13 @@ def bias(g: XorGame, s: Strategy) -> float:
     return float(total.real)
 
 
+def _kron_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] ⊗ b[i] for every i of two equally long stacks of square
+    matrices, by the elementwise products np.kron forms."""
+    k, p, q = len(a), a.shape[-1], b.shape[-1]
+    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, p * q, p * q)
+
+
 def sigma_observables(k: int) -> np.ndarray:
     """2k+1 pairwise anticommuting ±1 observables on C^(2^k), as a read-only
     (2k+1, 2^k, 2^k) stack (require_observables).
@@ -154,28 +163,17 @@ def sigma_observables(k: int) -> np.ndarray:
     """
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise InvalidK(f"need integer k >= 1, got {k!r}")
-    out = []
-    for i in range(1, 2 * k + 2):
-        if i == 2 * k + 1:
-            factors = [_SIGMA_Y] * k
-        else:
-            m = (i + 1) // 2
-            factors = [_SIGMA_Y] * (m - 1)
-            factors.append(_SIGMA_X if i % 2 == 1 else _SIGMA_Z)
-            factors.extend([np.eye(2, dtype=complex)] * (k - m))
-        acc = factors[0]
-        for f in factors[1:]:
-            acc = np.kron(acc, f)
-        out.append(acc)
-    return require_observables(out, "sigma")
+    # slot m (from 0) of every observable: I before its σ_x, σ_z pair, σ_y after
+    slots = (np.stack([_EYE2] * 2 * m + [_SIGMA_X, _SIGMA_Z] + [_SIGMA_Y] * (2 * (k - m) - 1))
+             for m in range(k))
+    return require_observables(functools.reduce(_kron_rows, slots), "sigma")
 
 
-def _matched_combinations(mats) -> np.ndarray:
-    """The matched answers (±A_a + A_b)/√2 of chshn_pair_order to Alice's n
-    matrices, stacked in column order."""
-    combs = [mats[a - 1] + mats[b - 1] if a < b else mats[b - 1] - mats[a - 1]
-             for a, b in chshn_pair_order(len(mats))]
-    return np.stack(combs) / np.sqrt(2)
+def _matched_combinations(mats: np.ndarray) -> np.ndarray:
+    """The matched answers (±A_a + A_b)/√2 of chshn_pair_order to Alice's
+    (n, d, d) stack, stacked in column order."""
+    a, b = np.array(chshn_pair_order(len(mats))).T - 1
+    return np.where((a < b)[:, None, None], mats[a] + mats[b], mats[b] - mats[a]) / np.sqrt(2)
 
 
 def _canonical_alice(n: int) -> np.ndarray:
@@ -187,8 +185,7 @@ def _canonical_alice(n: int) -> np.ndarray:
     fam = sigma_observables(max(k, 1))
     if n % 2 == 0:
         return fam[: 2 * k]
-    eye2 = np.eye(2, dtype=complex)
-    return np.stack([np.kron(eye2, f) for f in fam[: 2 * k]] + [np.kron(_SIGMA_Z, fam[2 * k])])
+    return _kron_rows(np.stack([_EYE2] * 2 * k + [_SIGMA_Z]), fam)
 
 
 def canonical_chshn(n: int) -> Strategy:
@@ -209,9 +206,13 @@ def tsirelson_strategy(z, n: int, m: int) -> Strategy:
     Gram vectors x_i of z (rows of V·√Λ, eigenvalues clipped at 1e-10 and the
     vectors renormalized) are contracted against the anticommuting family:
     A_i = x_i·σ⃗ and B_j = (x_{n+j}·σ⃗)ᵀ on a maximally entangled state, so
-    that ⟨ψ|A_i⊗B_j|ψ⟩ = x_i·x_{n+j} = z[i, n+j].
+    that ⟨ψ|A_i⊗B_j|ψ⟩ = x_i·x_{n+j} = z[i, n+j].  z is read as its real
+    part, and rejected if an imaginary part exceeds 1e-9.
     """
-    zm = np.asarray(z, dtype=float)
+    zm = np.asarray(z)
+    if np.abs(zm.imag).max(initial=0.0) > 1e-9:
+        raise ValueError("correlation matrix must be real")
+    zm = np.asarray(zm.real, dtype=float)
     big = n + m
     if zm.shape != (big, big):
         raise DimensionMismatch(f"z has shape {zm.shape}, expected {(big, big)}")
@@ -301,14 +302,14 @@ def embed_with_junk(
 def _conjugate(obs: np.ndarray, theta: float, rng: np.random.Generator) -> np.ndarray:
     """Each observable of the stack conjugated by its own exp(iθH), H an
     independent random Hermitian of unit Frobenius norm."""
-    out = np.empty_like(obs)
-    for i, o in enumerate(obs):
-        h = rng.standard_normal(o.shape) + 1j * rng.standard_normal(o.shape)
-        h = (h + h.conj().T) / 2
-        w, v = hermitian_eig(h / frobenius(h))
-        u = (v * np.exp(1j * theta * w)) @ v.conj().T
-        out[i] = u @ o @ u.conj().T
-    return out
+    # per observable, a real then an imaginary d × d block of the stream
+    re, im = rng.standard_normal((len(obs), 2) + obs.shape[1:]).transpose(1, 0, 2, 3)
+    h = re + 1j * im
+    h = (h + h.conj().transpose(0, 2, 1)) / 2
+    # exactly Hermitian, so eigh needs no check; one norm per matrix
+    w, v = np.linalg.eigh(h / np.array([*map(frobenius, h)])[:, None, None])
+    u = (v * np.exp(1j * theta * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return u @ obs @ u.conj().transpose(0, 2, 1)
 
 
 def perturb(s: Strategy, theta: float, seed: int, include_bob: bool = False) -> Strategy:

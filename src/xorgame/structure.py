@@ -435,10 +435,8 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
     blocks_equal = divisible and blocks_dev <= tol
     p_a = dec.left_basis @ dec.left_basis.conj().T
     p_b = dec.right_basis @ dec.right_basis.conj().T
-    eye_a = np.eye(s.d_A, dtype=complex)
-    eye_b = np.eye(s.d_B, dtype=complex)
-    inv_a = max(frobenius((eye_a - p_a) @ o @ p_a) for o in s.alice)
-    inv_b = max(frobenius((eye_b - p_b) @ o @ p_b) for o in s.bob)
+    inv_a = max(map(frobenius, (np.eye(s.d_A) - p_a) @ s.alice @ p_a))
+    inv_b = max(map(frobenius, (np.eye(s.d_B) - p_b) @ s.bob @ p_b))
     anti = max(map(frobenius, p_a @ _anticommutators(s.alice) @ p_a), default=0.0)
     combs = _matched_combinations(s.alice)
     b_dev = max(map(frobenius, combs @ s.state - s.state @ s.bob.transpose(0, 2, 1)))

@@ -1,14 +1,17 @@
 """The paper's chain definitions, one product and one sign at a time, the
 Born-rule referee, one projector product at a time, Bob's intertwiner
-residuals, one GEMM and one direct difference per observable, and relation
-extraction, one eigenpair at a time.
+residuals, one GEMM and one direct difference per observable, relation
+extraction, one eigenpair at a time, and the observable constructors, one
+matrix at a time.
 
 The library computes all chain products at once (`structure._chain_products`),
 reads the insertion signs from one sign vector (`structure._reference`),
 takes the outcome statistics of `strategies.simulate` from the correlations,
-Bob's residuals from one projection onto the span of the chains and the
-relation matrices U, V from one slice of the eigenpairs; these direct
-definitions are the oracles the tests compare them with.
+Bob's residuals from one projection onto the span of the chains, the
+relation matrices U, V from one slice of the eigenpairs, and builds and
+conjugates whole observable stacks (`strategies._kron_rows`,
+`strategies._conjugate`); these direct definitions are the oracles the
+tests compare them with.
 """
 import itertools
 from dataclasses import dataclass
@@ -17,6 +20,7 @@ import numpy as np
 
 from xorgame.games import chshn_pair_order, symmetrize
 from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
+from xorgame.strategies import _SIGMA_X, _SIGMA_Y, _SIGMA_Z, require_observables
 from xorgame.structure import IndexOutOfRange, _reference, _state_chains
 
 
@@ -147,3 +151,53 @@ def loop_extract_relations(g, y, cutoff: float) -> tuple[np.ndarray, np.ndarray]
         us.append(wk[:n])
         vs.append(-wk[n:])
     return np.array(us).reshape(-1, n), np.array(vs).reshape(-1, m)
+
+
+def kron_sigma_observables(k: int) -> np.ndarray:
+    """strategies.sigma_observables, each observable as its own chain of
+    np.kron over its k factors."""
+    out = []
+    for i in range(1, 2 * k + 2):
+        if i == 2 * k + 1:
+            factors = [_SIGMA_Y] * k
+        else:
+            m = (i + 1) // 2
+            factors = [_SIGMA_Y] * (m - 1)
+            factors.append(_SIGMA_X if i % 2 == 1 else _SIGMA_Z)
+            factors.extend([np.eye(2, dtype=complex)] * (k - m))
+        acc = factors[0]
+        for f in factors[1:]:
+            acc = np.kron(acc, f)
+        out.append(acc)
+    return require_observables(out, "sigma")
+
+
+def kron_canonical_alice(n: int) -> np.ndarray:
+    """strategies._canonical_alice from kron_sigma_observables, one np.kron
+    per observable for odd n."""
+    k = n // 2
+    fam = kron_sigma_observables(max(k, 1))
+    if n % 2 == 0:
+        return fam[: 2 * k]
+    eye2 = np.eye(2, dtype=complex)
+    return np.stack([np.kron(eye2, f) for f in fam[: 2 * k]] + [np.kron(_SIGMA_Z, fam[2 * k])])
+
+
+def pairwise_matched_combinations(mats) -> np.ndarray:
+    """strategies._matched_combinations, one ordered pair at a time."""
+    combs = [mats[a - 1] + mats[b - 1] if a < b else mats[b - 1] - mats[a - 1]
+             for a, b in chshn_pair_order(len(mats))]
+    return np.stack(combs) / np.sqrt(2)
+
+
+def per_matrix_conjugate(obs, theta: float, rng: np.random.Generator) -> np.ndarray:
+    """strategies._conjugate, one observable at a time: a real and an
+    imaginary d × d draw, then the checked eigensolver on H/‖H‖_F."""
+    out = np.empty_like(obs)
+    for i, o in enumerate(obs):
+        h = rng.standard_normal(o.shape) + 1j * rng.standard_normal(o.shape)
+        h = (h + h.conj().T) / 2
+        w, v = hermitian_eig(h / frobenius(h))
+        u = (v * np.exp(1j * theta * w)) @ v.conj().T
+        out[i] = u @ o @ u.conj().T
+    return out

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ class TestNewGame:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             new_game(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["as-given", "normalize"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_message_with_and_without_normalize(self, bad, normalize):
+        # XorGame's one check sees the entry, or the NaN that a NaN or inf
+        # total leaves after normalization; no warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^game matrix contains non-finite entries$"):
+                new_game(np.array([[0.25, bad], [0.25, -0.25]]), normalize=normalize)
 
     def test_single_entry(self):
         g = new_game(np.array([[1.0]]))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,19 @@ from xorgame.strategies import (
     sigma_observables,
     simulate,
     tsirelson_strategy,
+    _canonical_alice,
+    _conjugate,
+    _matched_combinations,
 )
 
 from conftest import near_optimal_variants, random_observable
-from oracles import born_simulate
+from oracles import (
+    born_simulate,
+    kron_canonical_alice,
+    kron_sigma_observables,
+    pairwise_matched_combinations,
+    per_matrix_conjugate,
+)
 
 RT2 = np.sqrt(2.0)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -317,6 +328,19 @@ class TestTsirelson:
         with pytest.raises(DimensionMismatch):
             tsirelson_strategy(np.eye(4), 2, 3)
 
+    def test_rejects_complex_z_before_its_shape(self):
+        z = np.eye(4) + 0.5j * (np.eye(4, k=1) - np.eye(4, k=-1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no ComplexWarning, no dropped imaginary part
+            for n, m in ((2, 2), (2, 3)):
+                with pytest.raises(ValueError, match="^correlation matrix must be real$"):
+                    tsirelson_strategy(z, n, m)
+
+    def test_accepts_imaginary_rounding(self):
+        s = tsirelson_strategy(np.eye(4) + 1e-12j, 2, 2)
+        want = tsirelson_strategy(np.eye(4), 2, 2)
+        assert np.array_equal(s.alice, want.alice) and np.array_equal(s.bob, want.bob)
+
 
 class TestSimulate:
     def test_deterministic_for_fixed_seed(self):
@@ -434,3 +458,28 @@ class TestPerturb:
         for theta in (-0.1, 4.0):
             with pytest.raises(ValueError):
                 perturb(s, theta, seed=0)
+
+
+class TestStacksMatchPerMatrixOracles:
+    """The whole-stack constructors give the bytes of the one-matrix-at-a-time
+    definitions in oracles.py."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sigma_family(self, k):
+        assert sigma_observables(k).tobytes() == kron_sigma_observables(k).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_canonical_alice_and_matched_combinations(self, n):
+        alice = _canonical_alice(n)
+        assert alice.tobytes() == kron_canonical_alice(n).tobytes()
+        assert _matched_combinations(alice).tobytes() == pairwise_matched_combinations(alice).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("side", SIDES)
+    def test_conjugate(self, n, side):
+        obs = getattr(canonical_chshn(n), side)
+        for seed in (0, 1, 7):
+            for theta in (0.01, 0.1, np.pi):
+                got = _conjugate(obs, theta, np.random.default_rng(seed))
+                want = per_matrix_conjugate(obs, theta, np.random.default_rng(seed))
+                assert got.tobytes() == want.tobytes(), (seed, theta)
