@@ -84,8 +84,8 @@ def extract_relations(g: XorGame, y, cutoff: float = DEFAULT_CUTOFF) -> Relation
     λ_k > cutoff in descending order; eigenvalues in [−1e-8, 0) count as
     zero, anything lower raises DualInfeasible.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff!r}")
+    if not 0 <= cutoff < np.inf:
+        raise ValueError(f"cutoff must be finite and >= 0, got {cutoff!r}")
     n, m = g.n_alice, g.n_bob
     yv = np.asarray(y, dtype=float).reshape(-1)
     if yv.size != n + m:

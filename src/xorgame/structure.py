@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import NORMALIZATION_TOL, XorGame, chsh_game, chshn_matrix, chshn_pair_order
+from .games import NORMALIZATION_TOL, InvalidN, XorGame, chsh_game, chshn_matrix, chshn_pair_order
 from .linalg import DimensionMismatch, frobenius, hermitian_eig, schmidt, sign_normalize
 from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
 from .strategies import (
@@ -42,7 +42,10 @@ class IndexOutOfRange(ValueError):
 
 def require_chshn_shape(s: Strategy, n: int) -> Strategy:
     """s itself if it has the CHSH(n) shape, n Alice and n(n−1) Bob
-    observables; DimensionMismatch otherwise."""
+    observables; InvalidN unless n is an integer >= 2, DimensionMismatch
+    otherwise."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
     if (len(s.alice), len(s.bob)) != (n, n * (n - 1)):
         raise DimensionMismatch(
             f"strategy has {len(s.alice)}x{len(s.bob)} observables, expected {n}x{n * (n - 1)}"
@@ -169,8 +172,7 @@ def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
     The reference vectors are orthonormal and each A^j is unitary, so
     ‖T‖_F = 1 for every valid strategy.
     """
-    ref = _reference(n)
-    return _intertwiner(_state_chains(s, n)[1], ref)
+    return _intertwiner(_state_chains(s, n)[1], _reference(n))
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,7 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     Residuals are compared against 12n²√ε (Alice) and 17n²√ε (Bob) with a
     1e-12 floating-point margin.
     """
+    require_chshn_shape(s, n)
     require_chshn_game(g, n)
     ref = _reference(n)
     eps = certify_epsilon(g, s, ref.relations, TSIRELSON_BIAS)
@@ -355,9 +358,9 @@ def ab_switch_check(s: Strategy, n: int, k: int) -> tuple[int, float]:
     sign-normalization of ±B_kl + B_lk (+ for k < l, − for k > l).  Returns
     the minimizing l and the deviation; bounded by (2√2+2)√n·√ε.
     """
+    require_chshn_shape(s, n)
     if not 1 <= k <= n:
         raise IndexOutOfRange(f"k={k} outside 1..{n}")
-    require_chshn_shape(s, n)
     ak = s.alice[k - 1]
     best = None
     for t, (a, l) in enumerate(chshn_pair_order(n)):
@@ -420,24 +423,25 @@ def verify_optimal_form(s: Strategy, n: int, tol: float = 1e-8) -> StructureRepo
     Schmidt coefficients must be equal within blocks of 2^⌊n/2⌋ and the rank
     divisible by the block size; the observables must preserve the Schmidt
     supports, Alice's must anticommute there, and Bob's must act on the state
-    as the matched (A_a ± A_b)/√2.
+    as the matched (A_a ± A_b)/√2.  tol must be finite and >= 0.
     """
     require_chshn_shape(s, n)
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dec = schmidt(s.state, s.d_A, s.d_B)
     rank = dec.rank
     block = 2 ** (n // 2)
     divisible = rank % block == 0
-    coeffs = np.sort(dec.coefficients)[::-1]
     blocks_dev = 0.0
     for start in range(0, rank, block):
-        chunk = coeffs[start : start + block]
+        chunk = dec.coefficients[start : start + block]
         blocks_dev = max(blocks_dev, float(chunk.max() - chunk.min()))
     blocks_equal = divisible and blocks_dev <= tol
     p_a = dec.left_basis @ dec.left_basis.conj().T
     p_b = dec.right_basis @ dec.right_basis.conj().T
     inv_a = max(map(frobenius, (np.eye(s.d_A) - p_a) @ s.alice @ p_a))
     inv_b = max(map(frobenius, (np.eye(s.d_B) - p_b) @ s.bob @ p_b))
-    anti = max(map(frobenius, p_a @ _anticommutators(s.alice) @ p_a), default=0.0)
+    anti = max(map(frobenius, p_a @ _anticommutators(s.alice) @ p_a))
     combs = _matched_combinations(s.alice)
     b_dev = max(map(frobenius, combs @ s.state - s.state @ s.bob.transpose(0, 2, 1)))
     verdict = (

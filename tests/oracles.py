@@ -1,8 +1,9 @@
 """The paper's chain definitions, one product and one sign at a time, the
 Born-rule referee, one projector product at a time, Bob's intertwiner
 residuals, one GEMM and one direct difference per observable, relation
-extraction, one eigenpair at a time, and the observable constructors, one
-matrix at a time.
+extraction, one eigenpair at a time, the observable constructors, one
+matrix at a time, and the Schmidt decomposition from the eigenpairs of the
+Hermitian dilation.
 
 The library computes all chain products at once (`structure._chain_products`),
 reads the insertion signs from one sign vector (`structure._reference`),
@@ -10,8 +11,9 @@ takes the outcome statistics of `strategies.simulate` from the correlations,
 Bob's residuals from one projection onto the span of the chains, the
 relation matrices U, V from one slice of the eigenpairs, and builds and
 conjugates whole observable stacks (`strategies._kron_rows`,
-`strategies._conjugate`); these direct definitions are the oracles the
-tests compare them with.
+`strategies._conjugate`), and takes the Schmidt decomposition from one SVD
+(`linalg.schmidt`); these direct definitions are the oracles the tests
+compare them with.
 """
 import itertools
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from xorgame.games import chshn_pair_order, symmetrize
-from xorgame.linalg import DimensionMismatch, frobenius, hermitian_eig, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, SchmidtDecomposition, frobenius, hermitian_eig
 from xorgame.strategies import _SIGMA_X, _SIGMA_Y, _SIGMA_Z, require_observables
 from xorgame.structure import IndexOutOfRange, _reference, _state_chains
 
@@ -85,7 +87,7 @@ def born_simulate(g, s, rounds: int, seed: int) -> tuple[float, float]:
     """strategies.simulate with each joint outcome probability taken as
     ‖(P_a ⊗ Q_b)ψ‖² from the eigenprojectors of the observables, question
     by question; the same random draws in the same order."""
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    mpsi = s.state
     questions = np.argwhere(g.matrix != 0.0)
     probs = np.array([abs(g.matrix[si, ti]) for si, ti in questions])
     probs = probs / probs.sum()
@@ -201,3 +203,19 @@ def per_matrix_conjugate(obs, theta: float, rng: np.random.Generator) -> np.ndar
         u = (v * np.exp(1j * theta * w)) @ v.conj().T
         out[i] = u @ o @ u.conj().T
     return out
+
+
+def dilation_schmidt(w, d_A: int, d_B: int, cutoff: float = 1e-9) -> SchmidtDecomposition:
+    """linalg.schmidt from the eigendecomposition of the Hermitian dilation
+    [[0, M], [Mᴴ, 0]] of M = w read row-major: its eigenvalues are ±σ_i (and
+    zeros), and the eigenvector of +σ_i is (u_i, conj(v_i))/√2."""
+    m = np.asarray(w, dtype=complex).reshape(d_A, d_B)
+    dil = np.zeros((d_A + d_B, d_A + d_B), dtype=complex)
+    dil[:d_A, d_A:] = m
+    dil[d_A:, :d_A] = m.conj().T
+    vals, vecs = hermitian_eig(dil)
+    floor = max(cutoff, 1e-14 * max(1.0, frobenius(m)))
+    keep = np.nonzero(vals > floor)[0][::-1]  # descending singular values
+    left = np.sqrt(2.0) * vecs[:d_A, keep]
+    right = np.conj(np.sqrt(2.0) * vecs[d_A:, keep])
+    return SchmidtDecomposition(vals[keep], left, right)

@@ -12,6 +12,7 @@ import xorgame.cli as cli
 from xorgame import serialize as sz
 from xorgame.games import chsh_game, new_game, symmetrize
 from xorgame.sdp import solve
+from xorgame.strategies import Strategy
 from xorgame.structure import IntertwinerReport, StructureReport, verify_optimal_form
 
 RT2 = np.sqrt(2.0)
@@ -703,6 +704,45 @@ class TestWrongTypedFieldsAreInputErrors:
         bad.write_text(json.dumps({"y": [0.1] * 4, "pairs": pairs}))
         argv = ["relations", "residual", chsh2["g"], chsh2["can"], str(bad)]
         self._assert_input_error(capsys, bad, argv)
+
+
+class TestInvalidParametersAreInputErrors:
+    """An n below 2 and a negative or non-finite cutoff or tolerance exit 1
+    with one error line: they reject the input, they are no verdict."""
+
+    @staticmethod
+    def _assert_input_error(capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("xorgame: error: ") and err.count("\n") == 1
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["structure", "verify", "{s}", "--n", "1"],
+         ["intertwiner", "report", "{g}", "{s}", "--n", "1"]],
+        ids=["structure-verify", "intertwiner-report"],
+    )
+    @pytest.mark.parametrize("shape", ["1x0", "2x2"])
+    def test_n_below_two(self, capsys, chsh2, tmp_path, argv, shape):
+        # a 1x0 strategy has the shape CHSH(1) would ask for
+        path = chsh2["can"]
+        if shape == "1x0":
+            path = str(tmp_path / "one.json")
+            s = Strategy((np.diag([1.0, -1.0]),), np.zeros((0, 2, 2)), np.eye(2) / RT2)
+            sz.write_json(sz.strategy_to_dict(s), path)
+        argv = [a.format(s=path, **chsh2) for a in argv]
+        self._assert_input_error(capsys, argv, "CHSH(n) needs integer n >= 2, got 1")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_relations_extract_cutoff(self, capsys, chsh2, value):
+        argv = ["relations", "extract", chsh2["g"], chsh2["y"], "--cutoff", value]
+        self._assert_input_error(capsys, argv, "cutoff must be finite and >= 0")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_structure_verify_tol(self, capsys, chsh2, value):
+        argv = ["structure", "verify", chsh2["can"], "--n", "2", "--tol", value]
+        self._assert_input_error(capsys, argv, "tol must be finite and >= 0")
 
 
 # sha256 of each artifact for n = 2..8, as `--out` writes it.  These

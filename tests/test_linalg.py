@@ -9,14 +9,13 @@ from xorgame.linalg import (
     SchmidtDecomposition,
     frobenius,
     hermitian_eig,
-    matrix_to_vec,
-    require_hermitian,
     schmidt,
     sign_normalize,
-    vec_to_matrix,
 )
+from xorgame.strategies import canonical_chshn
 
 from conftest import random_hermitian
+from oracles import dilation_schmidt
 
 
 def _rand_h(seed, d):
@@ -62,11 +61,11 @@ class TestHermitianEig:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitian):
-            require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-12)
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-12)
+            hermitian_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_accepts_transposed_view(self):
         # non-contiguous inputs (e.g. .T views) must be handled
@@ -74,33 +73,6 @@ class TestHermitianEig:
         w1, _ = hermitian_eig(base.T)
         w2, _ = hermitian_eig(np.ascontiguousarray(base.T))
         assert np.allclose(w1, w2, atol=1e-14)
-
-
-class TestVecBijection:
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip(self, r, c, seed):
-        rng = np.random.default_rng(seed)
-        m = rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
-        assert np.array_equal(vec_to_matrix(matrix_to_vec(m), r, c), m)
-
-    def test_row_major_order(self):
-        m = np.array([[1, 2, 3], [4, 5, 6]], dtype=complex)
-        assert np.array_equal(matrix_to_vec(m), np.arange(1, 7, dtype=complex))
-
-    def test_operator_action_via_matrix_product(self):
-        # (M ⊗ I)vec(X) = vec(MX) and (I ⊗ N)vec(X) = vec(X Nᵀ)
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        n = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        x = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        vec = matrix_to_vec(x)
-        assert np.allclose(np.kron(m, np.eye(4)) @ vec, matrix_to_vec(m @ x), atol=1e-13)
-        assert np.allclose(np.kron(np.eye(3), n) @ vec, matrix_to_vec(x @ n.T), atol=1e-13)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            vec_to_matrix(np.ones(5), 2, 2)
 
 
 class TestSchmidt:
@@ -148,6 +120,66 @@ class TestSchmidt:
         psi = psi / np.linalg.norm(psi)
         assert schmidt(psi, 2, 2, cutoff=1e-3).rank == 1
         assert schmidt(psi, 2, 2, cutoff=1e-9).rank == 2
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            schmidt(np.ones(5), 2, 2)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite and >= 0"):
+            schmidt(np.eye(2).reshape(-1) / np.sqrt(2), 2, 2, cutoff=cutoff)
+
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError, match="w contains non-finite entries"):
+            schmidt(np.array([np.nan, 0.0, 0.0, 1.0]), 2, 2)
+
+    def test_vector_and_matrix_give_the_same_decomposition(self):
+        # w is read row-major: the vector and its d_A x d_B matrix are one state
+        rng = np.random.default_rng(8)
+        m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+        m /= np.linalg.norm(m)
+        a, b = schmidt(m.reshape(-1), 3, 5), schmidt(m, 3, 5)
+        for x, y in zip(
+            (a.coefficients, a.left_basis, a.right_basis),
+            (b.coefficients, b.left_basis, b.right_basis),
+        ):
+            assert np.array_equal(x, y)
+        assert np.abs((a.left_basis * a.coefficients) @ a.right_basis.T - m).max() < 1e-14
+
+
+def _assert_matches_dilation(psi, da, db):
+    got, want = schmidt(psi, da, db), dilation_schmidt(psi, da, db)
+    assert got.rank == want.rank
+    assert np.abs(got.coefficients - want.coefficients).max(initial=0.0) <= 1e-12
+    for x, y in ((got.left_basis, want.left_basis), (got.right_basis, want.right_basis)):
+        assert np.abs(x @ x.conj().T - y @ y.conj().T).max() <= 1e-10
+
+
+class TestSchmidtMatchesDilation:
+    """The SVD against the eigenpairs of the Hermitian dilation: the same
+    coefficients and the same support projectors LLᴴ and RRᴴ."""
+
+    @given(
+        st.integers(1, 8), st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1)
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_states_of_every_rank(self, da, db, rank, seed):
+        # rank min(d_A, d_B) is full rank, anything less is rank-deficient
+        rank = min(rank, da, db)
+        rng = np.random.default_rng(seed)
+        a = np.linalg.qr(rng.standard_normal((da, rank)) + 1j * rng.standard_normal((da, rank)))[0]
+        b = np.linalg.qr(rng.standard_normal((db, rank)) + 1j * rng.standard_normal((db, rank)))[0]
+        c = rng.uniform(0.1, 1.0, rank)
+        m = (a * c) @ b.T
+        _assert_matches_dilation((m / np.linalg.norm(m)).reshape(-1), da, db)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("extra_a,extra_b", [(0, 0), (1, 0), (0, 3), (4, 2)])
+    def test_junk_embedded_canonical_states(self, n, extra_a, extra_b):
+        # the state embed_with_junk gives: M_ψ zero-padded into the junk sectors
+        psi = np.pad(canonical_chshn(n).state, ((0, extra_a), (0, extra_b)))
+        _assert_matches_dilation(psi, *psi.shape)
 
 
 class TestSignNormalize:

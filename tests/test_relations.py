@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xorgame.games import chsh_game, new_game, symmetrize
-from xorgame.linalg import DimensionMismatch, vec_to_matrix
+from xorgame.linalg import DimensionMismatch
 from xorgame.relations import (
     DualInfeasible,
     RelationSystem,
@@ -121,6 +121,13 @@ class TestExtractRelations:
         g, _ = chsh_game(2)
         with pytest.raises(ValueError):
             extract_relations(g, chshn_dual_y(2), cutoff=-1.0)
+
+    @pytest.mark.parametrize("cutoff", [np.nan, np.inf])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        # NaN passes a bare `< 0` test and would keep no pair at all
+        g, _ = chsh_game(2)
+        with pytest.raises(ValueError, match="cutoff must be finite and >= 0"):
+            extract_relations(g, chshn_dual_y(2), cutoff=cutoff)
 
 
 def _random_game(seed):
@@ -255,7 +262,7 @@ class TestResidualValues:
 
 def _pairwise_residual(s, rel):
     """Σ_k ‖(u_k·A⃗ ⊗ I)|ψ⟩ − (I ⊗ v_k·B⃗)|ψ⟩‖², one relation pair at a time."""
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    mpsi = s.state
     total = 0.0
     for u, v in zip(rel.u, rel.v):
         ua = sum(u[i] * s.alice[i] for i in range(rel.n_alice))

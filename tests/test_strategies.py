@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xorgame.games import chsh_game, new_game
-from xorgame.linalg import DimensionMismatch, NonHermitian, matrix_to_vec, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, NonHermitian
 from xorgame.strategies import (
     OBSERVABLE_HERMITIAN_TOL,
     OBSERVABLE_SQUARE_TOL,
@@ -230,7 +230,7 @@ class TestBias:
 
 def _pairwise_bias(g, s):
     """Σ_st G_st ⟨ψ|A_s⊗B_t|ψ⟩ with one vdot per question pair."""
-    m = vec_to_matrix(s.state, s.d_A, s.d_B)
+    m = s.state
     total = 0.0 + 0.0j
     for si in range(g.n_alice):
         am = s.alice[si] @ m
@@ -238,7 +238,7 @@ def _pairwise_bias(g, s):
             w = g.matrix[si, ti]
             if w == 0.0:
                 continue
-            total += w * np.vdot(s.state, matrix_to_vec(am @ s.bob[ti].T))
+            total += w * np.vdot(s.state, (am @ s.bob[ti].T).reshape(-1))
     return total
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as hst
 import xorgame.structure as structure
 from xorgame import serialize
 from xorgame.games import InvalidN, chsh_game, chshn_pair_order, new_game
-from xorgame.linalg import DimensionMismatch, frobenius, matrix_to_vec, vec_to_matrix
+from xorgame.linalg import DimensionMismatch, frobenius
 from xorgame.relations import certify_epsilon, chshn_relations_form2
 from xorgame.strategies import (
     Strategy,
@@ -31,6 +31,7 @@ from xorgame.structure import (
     intertwiner_sweep,
     normalization_lemma_check,
     require_chshn_game,
+    require_chshn_shape,
     verify_optimal_form,
 )
 
@@ -164,7 +165,7 @@ class TestCanonicalVectorFamily:
         ref = canonical_chshn(n)
         vecs = canonical_vector_family(n)
         for v, j in zip(vecs, BitString.all_strings(n)):
-            want = matrix_to_vec(chain_product(list(ref.alice), j)) / np.sqrt(ref.d_A)
+            want = chain_product(list(ref.alice), j).reshape(-1) / np.sqrt(ref.d_A)
             assert np.abs(v - want).max() <= 1e-15
 
 
@@ -215,14 +216,14 @@ class TestBuildIntertwiner:
 
 def _reference_intertwiner(s, n):
     """Reference T: one chain_product call per bit string for both families."""
-    mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+    mpsi = s.state
     strings = BitString.all_strings(n)
     x = np.column_stack(
-        [matrix_to_vec(chain_product(list(s.alice), j) @ mpsi) for j in strings]
+        [(chain_product(list(s.alice), j) @ mpsi).reshape(-1) for j in strings]
     )
     ref = canonical_chshn(n)
     y = np.column_stack(
-        [matrix_to_vec(chain_product(list(ref.alice), j)) / np.sqrt(ref.d_A) for j in strings]
+        [chain_product(list(ref.alice), j).reshape(-1) / np.sqrt(ref.d_A) for j in strings]
     )
     return (x @ y.conj().T) / np.sqrt(2.0**n)
 
@@ -570,6 +571,33 @@ class TestAbSwitch:
             ab_switch_check(Strategy(c.alice[:1], c.bob, c.state), 2, 2)
 
 
+class TestRigidityChecksNeedNAtLeastTwo:
+    """Every rigidity check starts from require_chshn_shape, which rejects an
+    n that is not an integer >= 2 before it compares the shape."""
+
+    CHECKS = {
+        "require_chshn_shape": require_chshn_shape,
+        "verify_optimal_form": verify_optimal_form,
+        "anticommutation_residual": anticommutation_residual,
+        "ab_switch_check": lambda s, n: ab_switch_check(s, n, 1),
+        "build_intertwiner": build_intertwiner,
+        "intertwiner_report": lambda s, n: intertwiner_report(chsh_game(2)[0], s, n),
+    }
+
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_n_one_on_a_strategy_of_that_shape(self, name):
+        # one Alice and 1·0 Bob observables: the shape check alone passes it
+        s = Strategy((SZ,), np.zeros((0, 2, 2)), maximally_entangled(2))
+        with pytest.raises(InvalidN, match=r"^CHSH\(n\) needs integer n >= 2, got 1$"):
+            self.CHECKS[name](s, 1)
+
+    @pytest.mark.parametrize("name", CHECKS)
+    @pytest.mark.parametrize("n", [0, -1, 2.0])
+    def test_n_below_two_or_not_an_integer(self, name, n):
+        with pytest.raises(InvalidN):
+            self.CHECKS[name](canonical_chshn(2), n)
+
+
 class TestNormalizationLemma:
     def test_anticommuting_pair(self):
         lhs_sq, rhs_sq, gap = normalization_lemma_check(SX, SZ)
@@ -639,8 +667,8 @@ class TestVerifyOptimalForm:
         h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         u = np.linalg.qr(h)[0]
         alice = tuple(u @ o @ u.conj().T for o in s.alice)
-        m = u @ vec_to_matrix(s.state, 4, 4)
-        rotated = Strategy(alice, s.bob, matrix_to_vec(m))
+        m = u @ s.state
+        rotated = Strategy(alice, s.bob, m.reshape(-1))
         from xorgame.relations import chshn_relations_form1, residual
 
         assert residual(rotated, chshn_relations_form1(n)) < 1e-9
@@ -659,11 +687,17 @@ class TestVerifyOptimalForm:
         with pytest.raises(DimensionMismatch):
             verify_optimal_form(canonical_chshn(2), 3)
 
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        # a NaN tol would fail every comparison and give verdict False
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            verify_optimal_form(canonical_chshn(2), 2, tol=tol)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_b_block_relation_matches_pairwise_reference(self, n):
         # the old per-pair loop: (A_a ± A_b)/√2 against Bob's column (a,b)
         for s in near_optimal_variants(n):
-            mpsi = vec_to_matrix(s.state, s.d_A, s.d_B)
+            mpsi = s.state
             ref = 0.0
             for t, (a, b) in enumerate(chshn_pair_order(n)):
                 if a < b:
