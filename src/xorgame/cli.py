@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import serialize
-from .games import chsh_game, symmetrize
+from .games import chsh_game, require_chshn_n, symmetrize
 from .relations import (
     DualInfeasible,
     check_identity,
@@ -224,6 +224,7 @@ def _cmd_strategy_perturb(args, inputs):
 
 
 def _cmd_structure_verify(args, inputs):
+    require_chshn_n(args.n)  # before any file, so that the error names none
     s = _load_strategy(args, inputs, lambda st: require_chshn_shape(st, args.n))
     rep = verify_optimal_form(s, args.n, args.tol)
     return serialize.report_to_dict(rep), EXIT_OK if rep.verdict else EXIT_VERIFY
@@ -233,6 +234,7 @@ def _cmd_structure_verify(args, inputs):
 
 
 def _cmd_intertwiner_report(args, inputs):
+    require_chshn_n(args.n)  # before any file, so that the error names none
     g = _load(args.game, serialize.game_from_dict, inputs)
     s = _load_strategy(args, inputs, lambda st: require_chshn_shape(st, args.n))
     # after the strategy's check, which names a strategy of another n first

@@ -85,13 +85,19 @@ def chshn_pair_order(n: int) -> tuple[tuple[int, int], ...]:
     )
 
 
+def require_chshn_n(n) -> int:
+    """n as an int if it is an integer >= 2, as every CHSH(n) entry point
+    needs; InvalidN otherwise."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
+    return int(n)
+
+
 def chshn_matrix(n: int) -> np.ndarray:
     """The CHSH(n) game matrix: Alice gets i ∈ {1..n}, Bob an ordered pair
     of chshn_pair_order(n); each column weighs 1/(2·n(n−1)) at its two
     rows, with the matched sign at its first."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
-    pairs = chshn_pair_order(int(n))
+    pairs = chshn_pair_order(require_chshn_n(n))
     w = 1.0 / (2 * n * (n - 1))
     m = np.zeros((n, len(pairs)))
     for t, (a, b) in enumerate(pairs):

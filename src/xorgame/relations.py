@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame, chshn_matrix, chshn_pair_order, symmetrize
+from .games import XorGame, chshn_matrix, chshn_pair_order, require_chshn_n, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig
 from .strategies import Strategy, bias
 
@@ -104,8 +104,7 @@ def extract_relations(g: XorGame, y, cutoff: float = DEFAULT_CUTOFF) -> Relation
 def chshn_dual_y(n: int) -> np.ndarray:
     """Optimal dual weights for CHSH(n): 1/(2√2 n) per question, then
     1/(2√2 n(n−1)) per ordered pair.  They sum to 1/√2."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"need integer n >= 2, got {n!r}")
+    require_chshn_n(n)
     rt8 = 2.0 * np.sqrt(2.0)
     return np.concatenate(
         [np.full(n, 1.0 / (rt8 * n)), np.full(n * (n - 1), 1.0 / (rt8 * n * (n - 1)))]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import InvalidN, XorGame, chshn_pair_order
+from .games import XorGame, chshn_pair_order, require_chshn_n
 from .linalg import DimensionMismatch, NonHermitian, frobenius, hermitian_eig
 
 OBSERVABLE_HERMITIAN_TOL = 1e-10
@@ -179,9 +179,7 @@ def _matched_combinations(mats: np.ndarray) -> np.ndarray:
 def _canonical_alice(n: int) -> np.ndarray:
     """Alice's n pairwise anticommuting matrices of canonical_chshn(n) on
     C^(2^⌈n/2⌉), as an (n, d, d) stack taken from the σ family."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"need integer n >= 2, got {n!r}")
-    k = n // 2
+    k = require_chshn_n(n) // 2
     fam = sigma_observables(max(k, 1))
     if n % 2 == 0:
         return fam[: 2 * k]

@@ -9,8 +9,8 @@ builds T, measures every residual, and checks the quantitative bounds.
 The residuals are taken in the 2ⁿ chain basis T is built from: the
 insertion signs say where each canonical observable sends each reference
 vector, so no product touches the reference side.  Bob's n(n−1) residuals
-come from one projection onto the span of the chains, about 2n chain-sized
-GEMMs, and are exact to about 1e-16; ε comes from the relation residual.
+come from one projection onto the span of the chain products, n chain-sized
+GEMMs; ε comes from the relation residual.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import NORMALIZATION_TOL, InvalidN, XorGame, chsh_game, chshn_matrix, chshn_pair_order
+from .games import NORMALIZATION_TOL, XorGame, chsh_game, chshn_matrix, chshn_pair_order, require_chshn_n
 from .linalg import DimensionMismatch, frobenius, hermitian_eig, schmidt, sign_normalize
 from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
 from .strategies import (
@@ -44,8 +44,7 @@ def require_chshn_shape(s: Strategy, n: int) -> Strategy:
     """s itself if it has the CHSH(n) shape, n Alice and n(n−1) Bob
     observables; InvalidN unless n is an integer >= 2, DimensionMismatch
     otherwise."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidN(f"CHSH(n) needs integer n >= 2, got {n!r}")
+    require_chshn_n(n)
     if (len(s.alice), len(s.bob)) != (n, n * (n - 1)):
         raise DimensionMismatch(
             f"strategy has {len(s.alice)}x{len(s.bob)} observables, expected {n}x{n * (n - 1)}"
@@ -142,23 +141,22 @@ def _state_chains(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
     return prods, prods @ s.state
 
 
-def _chain_span(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chains C with Q of orthonormal columns and R such that C = Q·R as
-    a 2ⁿd_A × d_B matrix, from the chain-product stack P = [A^j], of which
-    C = P·M_ψ.
-
-    A^0 = I and every A^j is unitary, so PᴴP = Σ_j (A^j)ᴴA^j is 2ⁿ·I up to
-    the observables' tolerance: P has condition number 1 to that tolerance,
-    and with PᴴP = VΛVᴴ, Q = P·V·Λ^(−1/2) is orthonormal to rounding, as a
-    Householder QR would give it, in two GEMMs.  Q spans P, which contains
-    the span of the chains whatever the rank of M_ψ, and R = Λ^(1/2)·Vᴴ·M_ψ.
-    """
-    prods, chains = _state_chains(s, n)
-    p = prods.reshape(-1, s.d_A)
-    lam, v = np.linalg.eigh(p.conj().T @ p)
-    root = np.sqrt(lam)
-    r = (root[:, None] * v.conj().T) @ s.state
-    return chains, p @ (v / root), r
+def _chain_grams(alice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Λ = PᴴP and the stack of W_t = PᴴP̃_t in one pass over the bits, for
+    P = [A^j] as a 2ⁿd × d matrix and P̃_t = P with bit t of j flipped and
+    τ_t(j) applied.  With A^j = A^p·A_t^(j_t)·A^s for the prefix p and the
+    suffix s of bit t, W_t = Σ_s τ_t·(A^s)ᴴ(Λ_p·A_t + A_tᴴ·Λ_p)A^s, Λ_p the
+    Gram matrix of the prefixes; each later bit u joins the prefixes,
+    Λ ← Λ + A_uᴴ·Λ·A_u, and the suffixes, W_t ← W_t − A_uᴴ·W_t·A_u.  This
+    is exact algebra, with no unitarity assumed; Λ ⪰ I since A^0 = I."""
+    lam = np.eye(alice.shape[-1], dtype=complex)
+    w = np.empty(alice.shape, dtype=complex)
+    for t, (a, a_h) in enumerate(zip(alice, alice.conj().transpose(0, 2, 1))):
+        w[:t] -= a_h @ w[:t] @ a
+        la = lam @ a
+        w[t] = la + la.conj().T
+        lam += a_h @ la
+    return lam, w
 
 
 def _intertwiner(chains: np.ndarray, ref: _Reference) -> np.ndarray:
@@ -201,14 +199,16 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
       Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±F_a + F_b)_j‖²,
                   F_t = τ_t(j)·C_{j⊕e_t}/√2,
     + for a < b and − for a > b.  Alice takes one GEMM per observable.  Bob
-    takes a projection: with the chain stack X = [C_j] = Q·R, where Q has
-    orthonormal columns whose span contains X's (_chain_span), and with
-    G_t = QᴴF_t and E_t = F_t − Q·G_t,
-      2ⁿ·res² = ‖R·B_abᵀ − (G_b ± G_a)‖² + H_aa + H_bb ± 2H_ab,
-    H the real Gram matrix of the E_t, so n(n−1) columns cost about 2n
-    chain-sized GEMMs.  Both terms are formed from direct differences, so
-    they carry an absolute error of about 1e-16: a canonical strategy gets
-    Alice residuals of exactly 0 and Bob residuals of about 1e-16.
+    takes a projection onto the span of the chain-product stack P = [A^j],
+    which holds every C_j B_abᵀ = A^j·M_ψ·B_abᵀ.  F_t = P̃_t·M_ψ/√2, so with
+    Λ = PᴴP and W_t = PᴴP̃_t (_chain_grams), the in-span part of F_t is P·Y_t
+    with Y_t = Λ⁻¹W_t·M_ψ/√2, the rest E_t = F_t − P·Y_t is orthogonal to P,
+    and with D = M_ψ·B_abᵀ − (Y_b ± Y_a)
+      2ⁿ·res² = tr(DᴴΛD) + H_aa + H_bb ± 2H_ab,
+    H the real Gram matrix of the E_t, so n(n−1) columns cost n chain-sized
+    GEMMs.  Both terms are formed from direct differences, so they carry an
+    absolute error of about 1e-16, and a canonical strategy, for which
+    Λ = 2ⁿ·I and W_t = 2ⁿ·Ã_t to the bit, gets residuals of exactly 0.
 
     g is checked to be CHSH(n) (require_chshn_game), so that a caller such as
     the CLI can name a wrong game file; ε is certify_epsilon of the CHSH(n)
@@ -221,8 +221,9 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     require_chshn_game(g, n)
     ref = _reference(n)
     eps = certify_epsilon(g, s, ref.relations, TSIRELSON_BIAS)
-    chains, *span = _chain_span(s, n)
-    bob_res = _bob_residuals(chains, *span, s, n, ref)
+    prods, chains = _state_chains(s, n)
+    bob_res = _bob_residuals(prods, chains, s, n, ref)
+    del prods
     alice_res = _alice_residuals(chains, s, n)
     t = _intertwiner(chains, ref)
     a_bound = 12.0 * n * n * np.sqrt(eps)
@@ -274,47 +275,36 @@ _ONE_BLOCK_BYTES = 2**18
 
 
 def _bob_residuals(
-    chains: np.ndarray, q: np.ndarray, r: np.ndarray, s: Strategy, n: int, ref: _Reference
+    prods: np.ndarray, chains: np.ndarray, s: Strategy, n: int, ref: _Reference
 ) -> tuple[float, ...]:
-    """Bob's residuals by projection onto the span of Q, with the chains
-    C = Q·R (see intertwiner_report), one block of the E_t rows at a time."""
+    """Bob's residuals by projection onto the span of the chain-product
+    stack prods (see intertwiner_report), one block of the E_t rows at a
+    time."""
     d_a, d_b = s.d_A, s.d_B
+    lam, w = _chain_grams(s.alice)
+    y = (np.linalg.solve(lam, w) / np.sqrt(2.0)) @ s.state
+    p = prods.reshape(-1, d_a)
     lead = 0 if chains.nbytes <= _ONE_BLOCK_BYTES else 2
-    blocks = list(itertools.product((0, 1), repeat=lead))
-    rows = q.shape[0] >> lead
+    rows = p.shape[0] >> lead
     bits = chains.reshape((2,) * n + (d_a * d_b,))
     e = np.empty((n, rows, d_b), dtype=complex)
-
-    def fill(block: tuple[int, ...]) -> None:
-        # F_t on the rows of a block: the chains with the axis of bit t
-        # reversed, times τ_t/√2
+    buf = np.empty((rows, d_b), dtype=complex)
+    h = np.zeros((n, n))
+    for i, block in enumerate(itertools.product((0, 1), repeat=lead)):
+        # E_t on the rows of a block: F_t, the chains with the axis of bit t
+        # reversed times τ_t/√2, less P·Y_t
+        np.matmul(p[i * rows : (i + 1) * rows], y, out=e)
         for t, tau in enumerate(ref.taus):
             flipped = bits[(slice(None),) * t + (slice(None, None, -1),)]
-            np.multiply(flipped[block], tau[block], out=e[t].reshape(bits.shape[lead:]))
-
-    # G_t = QᴴF_t, summed over the blocks
-    g = np.zeros((n,) + r.shape, dtype=complex)
-    for i, block in enumerate(blocks):
-        fill(block)
-        g += q[i * rows : (i + 1) * rows].conj().T @ e
-    # E_t = F_t − Q·G_t and their Gram matrix, the blocks in reverse so that
-    # the block the first loop ended on needs no second fill.
-    h = np.zeros((n, n))
-    buf = np.empty((rows, d_b), dtype=complex)
-    for i in reversed(range(len(blocks))):
-        if i < len(blocks) - 1:
-            fill(blocks[i])
-        for t in range(n):
-            np.matmul(q[i * rows : (i + 1) * rows], g[t], out=buf)
-            np.subtract(e[t], buf, out=e[t])
+            np.multiply(flipped[block], tau[block], out=buf.reshape(bits.shape[lead:]))
+            np.subtract(buf, e[t], out=e[t])
         ev = e.reshape(n, -1).view(float)
         h += ev @ ev.T
 
-    # The first term, transposed: row k is B_k·Rᵀ − Σ_t targets[k, t]·G_tᵀ.
-    bob = s.bob.reshape(-1, d_b)
-    g_t = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)
-    inside = ((bob @ r.T).reshape(len(s.bob), -1) - ref.targets @ g_t).view(float)
-    total = (inside * inside).sum(axis=1) + ((ref.targets @ h) * ref.targets).sum(axis=1)
+    # D for every column k: M_ψ·B_kᵀ − Σ_t targets[k, t]·Y_t
+    dev = s.state @ s.bob.transpose(0, 2, 1) - (ref.targets @ y.reshape(n, -1)).reshape(-1, d_a, d_b)
+    inside = (dev.conj() * (lam @ dev)).real.sum(axis=(1, 2))
+    total = inside + ((ref.targets @ h) * ref.targets).sum(axis=1)
     return tuple((np.sqrt(np.maximum(total, 0.0)) / np.sqrt(2.0**n)).tolist())
 
 

@@ -1,6 +1,7 @@
 """The paper's chain definitions, one product and one sign at a time, the
 Born-rule referee, one projector product at a time, Bob's intertwiner
-residuals, one GEMM and one direct difference per observable, relation
+residuals, one GEMM and one direct difference per observable and by
+projection onto an orthonormal basis of the chain span, relation
 extraction, one eigenpair at a time, the observable constructors, one
 matrix at a time, and the Schmidt decomposition from the eigenpairs of the
 Hermitian dilation.
@@ -8,9 +9,10 @@ Hermitian dilation.
 The library computes all chain products at once (`structure._chain_products`),
 reads the insertion signs from one sign vector (`structure._reference`),
 takes the outcome statistics of `strategies.simulate` from the correlations,
-Bob's residuals from one projection onto the span of the chains, the
-relation matrices U, V from one slice of the eigenpairs, and builds and
-conjugates whole observable stacks (`strategies._kron_rows`,
+Bob's residuals from one projection onto the span of the chain products
+through their Gram matrices (`structure._chain_grams`), the relation
+matrices U, V from one slice of the eigenpairs, and builds and conjugates
+whole observable stacks (`strategies._kron_rows`,
 `strategies._conjugate`), and takes the Schmidt decomposition from one SVD
 (`linalg.schmidt`); these direct definitions are the oracles the tests
 compare them with.
@@ -23,6 +25,7 @@ import numpy as np
 from xorgame.games import chshn_pair_order, symmetrize
 from xorgame.linalg import DimensionMismatch, SchmidtDecomposition, frobenius, hermitian_eig
 from xorgame.strategies import _SIGMA_X, _SIGMA_Y, _SIGMA_Z, require_observables
+from xorgame import structure
 from xorgame.structure import IndexOutOfRange, _reference, _state_chains
 
 
@@ -135,6 +138,57 @@ def direct_bob_residuals(s, n: int) -> tuple[float, ...]:
         / np.sqrt(2.0**n)
         for col, (a, b) in enumerate(chshn_pair_order(n))
     )
+
+
+def chain_span(s, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chains C with Q of orthonormal columns and R such that C = Q·R as
+    a 2ⁿd_A × d_B matrix, from the chain-product stack P = [A^j], of which
+    C = P·M_ψ: with PᴴP = VΛVᴴ, Q = P·V·Λ^(−1/2) spans P, which contains
+    the span of the chains whatever the rank of M_ψ, and R = Λ^(1/2)·Vᴴ·M_ψ."""
+    prods, chains = _state_chains(s, n)
+    p = prods.reshape(-1, s.d_A)
+    lam, v = np.linalg.eigh(p.conj().T @ p)
+    root = np.sqrt(lam)
+    r = (root[:, None] * v.conj().T) @ s.state
+    return chains, p @ (v / root), r
+
+
+def orthonormal_projection_bob_residuals(s, n: int) -> tuple[float, ...]:
+    """Bob's residuals of structure.intertwiner_report by projection onto an
+    orthonormal basis Q of the chain span (chain_span), in the row blocks of
+    structure._bob_residuals: with G_t = QᴴF_t and E_t = F_t − Q·G_t,
+    2ⁿ·res² = ‖R·B_abᵀ − (G_b ± G_a)‖² + H_aa + H_bb ± 2H_ab, H the real
+    Gram matrix of the E_t; the row blocks are walked once for G and once
+    for E."""
+    chains, q, r = chain_span(s, n)
+    ref = _reference(n)
+    d_a, d_b = s.d_A, s.d_B
+    lead = 0 if chains.nbytes <= structure._ONE_BLOCK_BYTES else 2
+    blocks = list(itertools.product((0, 1), repeat=lead))
+    rows = q.shape[0] >> lead
+    bits = chains.reshape((2,) * n + (d_a * d_b,))
+    e = np.empty((n, rows, d_b), dtype=complex)
+
+    def fill(block):
+        for t, tau in enumerate(ref.taus):
+            flipped = bits[(slice(None),) * t + (slice(None, None, -1),)]
+            np.multiply(flipped[block], tau[block], out=e[t].reshape(bits.shape[lead:]))
+
+    g = np.zeros((n,) + r.shape, dtype=complex)
+    for i, block in enumerate(blocks):
+        fill(block)
+        g += q[i * rows : (i + 1) * rows].conj().T @ e
+    h = np.zeros((n, n))
+    for i, block in enumerate(blocks):
+        fill(block)
+        e -= q[i * rows : (i + 1) * rows] @ g
+        ev = e.reshape(n, -1).view(float)
+        h += ev @ ev.T
+    bob = s.bob.reshape(-1, d_b)
+    g_t = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(n, -1)
+    inside = ((bob @ r.T).reshape(len(s.bob), -1) - ref.targets @ g_t).view(float)
+    total = (inside * inside).sum(axis=1) + ((ref.targets @ h) * ref.targets).sum(axis=1)
+    return tuple((np.sqrt(np.maximum(total, 0.0)) / np.sqrt(2.0**n)).tolist())
 
 
 def loop_extract_relations(g, y, cutoff: float) -> tuple[np.ndarray, np.ndarray]:

@@ -732,7 +732,10 @@ class TestInvalidParametersAreInputErrors:
             s = Strategy((np.diag([1.0, -1.0]),), np.zeros((0, 2, 2)), np.eye(2) / RT2)
             sz.write_json(sz.strategy_to_dict(s), path)
         argv = [a.format(s=path, **chsh2) for a in argv]
-        self._assert_input_error(capsys, argv, "CHSH(n) needs integer n >= 2, got 1")
+        # n is checked before any file is read, so the one line names no file
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "xorgame: error: CHSH(n) needs integer n >= 2, got 1\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_relations_extract_cutoff(self, capsys, chsh2, value):

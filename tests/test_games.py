@@ -19,6 +19,9 @@ from xorgame.games import (
     new_game,
     symmetrize,
 )
+from xorgame.relations import chshn_dual_y, chshn_relations_form1, chshn_relations_form2
+from xorgame.strategies import canonical_chshn
+from xorgame.structure import canonical_vector_family
 
 
 class TestNewGame:
@@ -137,6 +140,27 @@ class TestChshGame:
     def test_rejects_small_n(self):
         with pytest.raises(InvalidN):
             chsh_game(1)
+
+
+class TestOneNCheck:
+    """Every public CHSH(n) entry point checks n with games.require_chshn_n,
+    so an n that is not an integer >= 2 reads the same wherever it enters."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        [games.require_chshn_n, chsh_game, games.chshn_matrix, canonical_chshn, chshn_dual_y,
+         chshn_relations_form1, chshn_relations_form2, canonical_vector_family],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("n", [1, 0, -3, 2.0, np.int64(1)], ids=repr)
+    def test_one_wording(self, entry, n):
+        with pytest.raises(InvalidN) as info:
+            entry(n)
+        assert str(info.value) == f"CHSH(n) needs integer n >= 2, got {n!r}"
+
+    @pytest.mark.parametrize("n", [2, 7, np.int64(3)], ids=repr)
+    def test_accepts_integers_from_two(self, n):
+        assert games.require_chshn_n(n) == n and type(games.require_chshn_n(n)) is int
 
 
 class TestClassicalBias:

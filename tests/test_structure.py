@@ -42,6 +42,7 @@ from oracles import (
     direct_bob_residuals,
     insertion_sign_left,
     insertion_sign_right,
+    orthonormal_projection_bob_residuals,
 )
 
 RT2 = np.sqrt(2.0)
@@ -315,7 +316,7 @@ class TestIntertwinerReport:
         assert max(rep.bob_residuals) > 1e-13
         assert max(rep.bob_residuals) <= rep.bob_bound
         assert max(rep.alice_residuals) <= rep.alice_bound
-        _assert_matches_direct_bob(s, n)
+        _assert_matches_bob_references(s, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("theta", [0.0, 0.01, 0.1])
@@ -417,15 +418,25 @@ class TestChainBasisResiduals:
         for s in near_optimal_variants(n):
             _assert_matches_reshape(intertwiner_report(g, s, n), s, n)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_canonical_residuals_are_exact_zeros(self, n):
-        # each Alice chain-basis entry on both sides is one product of the
-        # same two numbers, so the differences cancel exactly; Bob's come
-        # from the projection onto the chain span, which rounds at ~1e-16
+        # each chain-basis entry on both sides is one product of the same
+        # numbers, so the differences cancel exactly, Bob's too, since the
+        # chain Gram matrices are 2ⁿ·I and 2ⁿ·Ã_t to the bit; junk sectors
+        # that the state misses change nothing
         g, _ = chsh_game(n)
-        rep = intertwiner_report(g, canonical_chshn(n), n)
-        assert set(rep.alice_residuals) == {0.0}
-        assert max(rep.bob_residuals) <= 1e-14
+        rng = np.random.default_rng(n)
+        s = canonical_chshn(n)
+        emb = embed_with_junk(
+            s,
+            3,
+            1,
+            [random_observable(rng, 3) for _ in s.alice],
+            [random_observable(rng, 1) for _ in s.bob],
+        )
+        for st in (s, emb):
+            rep = intertwiner_report(g, st, n)
+            assert set(rep.alice_residuals) == set(rep.bob_residuals) == {0.0}
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_sign_vector_gives_both_insertion_signs(self, n):
@@ -464,34 +475,37 @@ class TestChainBasisResiduals:
                 a[0] = 0
 
 
-def _assert_matches_direct_bob(s, n):
+def _assert_matches_bob_references(s, n):
     got = intertwiner_report(chsh_game(n)[0], s, n).bob_residuals
     assert np.abs(np.subtract(got, direct_bob_residuals(s, n))).max() <= 1e-14
+    assert np.abs(np.subtract(got, orthonormal_projection_bob_residuals(s, n))).max() <= 1e-15
 
 
 class TestBobProjection:
-    """Bob's residuals by projection onto the chain span against the direct
-    difference, one GEMM per column."""
+    """Bob's residuals by projection onto the chain products, through
+    Λ = PᴴP and W_t = PᴴP̃_t, against the direct difference, one GEMM per
+    column, and against the projection onto an orthonormal basis Q of the
+    chain span, Q = P·V·Λ^(−1/2) from the eigendecomposition of PᴴP."""
 
     @pytest.mark.parametrize("include_bob", [False, True], ids=["alice", "both"])
-    @pytest.mark.parametrize("theta", [0.0, 1e-6, 0.01, 0.1])
+    @pytest.mark.parametrize("theta", [0.0, 1e-6, 0.01, 0.1, 1.0])
     @pytest.mark.parametrize("n", range(2, 10))
     def test_matches_direct_difference(self, n, theta, include_bob):
-        _assert_matches_direct_bob(perturb(canonical_chshn(n), theta, seed=n, include_bob=include_bob), n)
+        _assert_matches_bob_references(perturb(canonical_chshn(n), theta, seed=n, include_bob=include_bob), n)
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", range(2, 10))
     def test_junk_embedded_match_direct_difference(self, n):
         # with junk whose sectors the state misses, the chain stack has rank
-        # below d_B, so R is singular and Q spans more than the chains
+        # below d_B, so the chain products P span more than the chains
         for s in near_optimal_variants(n):
-            _assert_matches_direct_bob(s, n)
+            _assert_matches_bob_references(s, n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_blocked_projection_matches_direct_difference(self, n, monkeypatch):
         # small chain stacks take one block; force the four-block path on them
         monkeypatch.setattr(structure, "_ONE_BLOCK_BYTES", 0)
         for s in near_optimal_variants(n):
-            _assert_matches_direct_bob(s, n)
+            _assert_matches_bob_references(s, n)
 
     @given(
         n=hst.integers(2, 6),
@@ -501,7 +515,34 @@ class TestBobProjection:
     )
     @settings(max_examples=25, deadline=None)
     def test_random_perturbations_match_direct_difference(self, n, theta, seed, include_bob):
-        _assert_matches_direct_bob(perturb(canonical_chshn(n), theta, seed, include_bob), n)
+        _assert_matches_bob_references(perturb(canonical_chshn(n), theta, seed, include_bob), n)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_chain_grams_match_the_chain_stack(self, n):
+        # the pass over the bits assumes no unitarity: the last stack is not
+        # made of observables
+        rng = np.random.default_rng(n)
+        stacks = [s.alice for s in near_optimal_variants(n)]
+        stacks.append((rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))) / 3)
+        strings = BitString.all_strings(n)
+        for a in stacks:
+            lam, w = structure._chain_grams(a)
+            prods = [chain_product(list(a), j) for j in strings]
+            want = sum(p.conj().T @ p for p in prods)
+            assert frobenius(lam - want) <= 1e-14 * frobenius(want)
+            for t in range(1, n + 1):
+                want = sum(
+                    insertion_sign_right(j, t) * prods[k].conj().T @ prods[k ^ (1 << (n - t))]
+                    for k, j in enumerate(strings)
+                )
+                assert frobenius(w[t - 1] - want) <= 1e-14 * frobenius(want)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_canonical_chain_grams_are_exact(self, n):
+        a = canonical_chshn(n).alice
+        lam, w = structure._chain_grams(a)
+        assert np.array_equal(lam, 2**n * np.eye(len(a[0])))
+        assert np.array_equal(w, 2**n * a)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_peak_memory_stays_within_six_chain_stacks(self, n):
