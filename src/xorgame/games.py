@@ -35,7 +35,8 @@ class TooLarge(ValueError):
 @dataclass(frozen=True)
 class XorGame:
     """Normalized real game matrix with question-set sizes; the matrix is
-    stored as a read-only copy."""
+    stored as a read-only copy.  labels, if given, is a tuple of n_bob
+    strings, one per column."""
 
     n_alice: int
     n_bob: int
@@ -51,6 +52,10 @@ class XorGame:
         total = np.abs(m).sum()
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise NotNormalized(f"sum of |entries| is {float(total)!r}, must be 1 within {NORMALIZATION_TOL}")
+        if self.labels is not None and not (
+            isinstance(self.labels, tuple) and list(map(type, self.labels)) == [str] * self.n_bob
+        ):
+            raise ValueError(f"labels must be a tuple of n_bob = {self.n_bob} strings, got {self.labels!r}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .games import XorGame, chshn_matrix, chshn_pair_order, require_chshn_n, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig
-from .strategies import Strategy, bias
+from .strategies import Strategy, bias, require_counts, require_game_shape
 
 DEFAULT_CUTOFF = 1e-9
 
@@ -143,11 +143,7 @@ def chshn_relations_form2(n: int) -> RelationSystem:
 
 def residual(s: Strategy, rel: RelationSystem) -> float:
     """Σ_k ‖(u_k·A⃗ ⊗ I)|ψ⟩ − (I ⊗ v_k·B⃗)|ψ⟩‖²."""
-    if len(s.alice) != rel.n_alice or len(s.bob) != rel.n_bob:
-        raise DimensionMismatch(
-            f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
-            f"relations want {rel.n_alice}x{rel.n_bob}"
-        )
+    require_counts(s, rel.n_alice, rel.n_bob, "relation system")
     # (u_k·A⃗ ⊗ I)|ψ⟩ = Σ_s u_ks·A_s M_ψ and (I ⊗ v_k·B⃗)|ψ⟩ = Σ_t v_kt·M_ψ B_tᵀ:
     # one product per observable, then one per side over the pairs
     am = s.alice @ s.state
@@ -168,7 +164,8 @@ def check_identity(
 
 
 def certify_epsilon(g: XorGame, s: Strategy, rel: RelationSystem, beta: float) -> float:
-    """ε such that the strategy is exactly ε-optimal: residual / β."""
+    """ε such that the strategy is exactly ε-optimal for g: residual / β;
+    DimensionMismatch unless s fits g (require_game_shape)."""
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    return residual(s, rel) / beta
+    return residual(require_game_shape(g, s), rel) / beta

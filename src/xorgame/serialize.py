@@ -15,10 +15,10 @@ every float array of a document together with numpy, in blocks of rows:
 each value's digits, sign and exponent come from lookup tables into
 fixed-width records of ASCII bytes, and one pass that drops the NUL
 padding gives the text.  Values the tables do not cover are
-spelled one by one, once per distinct bit pattern.  The readers take entries
-with one `np.array` conversion and a shape check, and raise
-FileFormatError on any field of the wrong type or shape, and on a file
-that is not UTF-8 JSON.
+spelled one by one, once per distinct bit pattern.  The readers take each
+field through _field, _size, _numbers or _pairs, and raise FileFormatError
+on any field that is missing or of the wrong type, size or shape, and on a
+file that is not UTF-8 JSON.
 """
 from __future__ import annotations
 
@@ -63,27 +63,50 @@ def _floats(values, what: str) -> np.ndarray:
     return a
 
 
-def _float_list(values, what: str) -> np.ndarray:
-    """A list of numbers as a 1-d float array, converted as _floats does;
-    FileFormatError for any other shape, a JSON string included."""
-    a = _floats(values, what)
-    if a.ndim != 1:
-        raise FileFormatError(f"{what} must be a list of numbers, got shape {a.shape}")
-    return a
-
-
 def _holds_none(v) -> bool:
     return v is None or (isinstance(v, (list, tuple)) and any(map(_holds_none, v)))
 
 
-def _complex_vector(pairs, what: str) -> np.ndarray:
-    """A list of [re, im] pairs as a complex vector, bit for bit."""
-    a = _floats(pairs, what)
-    if a.shape == (0,):
-        a = a.reshape(0, 2)
-    if a.ndim != 2 or a.shape[1] != 2:
+def _field(d, key: str, what: str, kind=object):
+    """d[key]; FileFormatError unless d is a JSON object that holds key
+    with a value of type kind."""
+    if not isinstance(d, dict) or key not in d:
+        raise FileFormatError(f"{what} must be a JSON object with a {key!r} field")
+    v = d[key]
+    if not isinstance(v, kind):
+        raise FileFormatError(f"{what} {key} must be a {kind.__name__}, got {type(v).__name__}")
+    return v
+
+
+def _size(d, key: str, what: str, floor: int) -> int:
+    """d[key] if it is a JSON integer >= floor, not a bool, a fraction or a string."""
+    v = _field(d, key, what)
+    if isinstance(v, bool) or not isinstance(v, int) or v < floor:
+        raise FileFormatError(f"{what} {key} must be an integer >= {floor}, got {v!r}")
+    return v
+
+
+def _numbers(values, what: str, length: int | None = None) -> np.ndarray:
+    """A list of numbers, of the given length if any, as a 1-d float array
+    converted as _floats does; a JSON string is refused."""
+    a = _floats(values, what)
+    if a.ndim != 1:
+        raise FileFormatError(f"{what} must be a list of numbers, got shape {a.shape}")
+    if length is not None and len(a) != length:
+        raise FileFormatError(f"{what} has length {len(a)}, not {length}")
+    return a
+
+
+def _pairs(values, what: str, length: int | None = None) -> np.ndarray:
+    """A list of [re, im] pairs, of the given length if any, as a complex
+    vector, bit for bit."""
+    a = _floats(values, what)
+    if a.shape != (0,) and a.shape[1:] != (2,):
         raise FileFormatError(f"{what} must be a list of [re, im] pairs, got shape {a.shape}")
-    return a.view(complex).reshape(-1)
+    z = a.reshape(-1).view(complex)
+    if length is not None and len(z) != length:
+        raise FileFormatError(f"{what} has length {len(z)}, not {length}")
+    return z
 
 
 def matrix_to_dict(m: np.ndarray) -> dict:
@@ -98,14 +121,9 @@ def matrix_to_dict(m: np.ndarray) -> dict:
 
 
 def matrix_from_dict(d) -> np.ndarray:
-    try:
-        rows, cols, entries = int(d["rows"]), int(d["cols"]), d["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"matrix object must have rows/cols/entries: {exc}")
-    flat = _complex_vector(entries, "matrix entries")
-    if rows < 0 or cols < 0 or flat.size != rows * cols:
-        raise FileFormatError(f"matrix has {flat.size} entries, expected {rows}*{cols}")
-    return flat.reshape(rows, cols)
+    rows, cols = _size(d, "rows", "matrix", 0), _size(d, "cols", "matrix", 0)
+    entries = _pairs(_field(d, "entries", "matrix"), "matrix entry list", rows * cols)
+    return entries.reshape(rows, cols)
 
 
 def game_to_dict(g: XorGame) -> dict:
@@ -123,18 +141,12 @@ def game_to_dict(g: XorGame) -> dict:
 
 
 def game_from_dict(d) -> XorGame:
-    try:
-        n, m, flat = int(d["n_alice"]), int(d["n_bob"]), d["matrix"]
-        labels = d.get("labels")
-        labels = tuple(labels) if labels is not None else None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"game file must have n_alice/n_bob/matrix: {exc}")
-    if n < 1 or m < 1:
-        raise FileFormatError(f"game must have n_alice, n_bob >= 1, got {n} and {m}")
-    matrix = _floats(flat, "game matrix")
-    if matrix.shape != (n * m,):
-        raise FileFormatError(f"game matrix must be a list of {n}*{m} numbers, got shape {matrix.shape}")
-    return new_game(matrix.reshape(n, m), labels=labels)
+    n, m = _size(d, "n_alice", "game", 1), _size(d, "n_bob", "game", 1)
+    matrix = _numbers(_field(d, "matrix", "game"), "game matrix", n * m)
+    labels = d.get("labels")
+    if labels is not None and not (isinstance(labels, list) and list(map(type, labels)) == [str] * m):
+        raise FileFormatError(f"game labels must be a list of n_bob = {m} strings")
+    return new_game(matrix.reshape(n, m), labels=None if labels is None else tuple(labels))
 
 
 def strategy_to_dict(s: Strategy) -> dict:
@@ -148,24 +160,18 @@ def strategy_to_dict(s: Strategy) -> dict:
 
 
 def strategy_from_dict(d) -> Strategy:
-    try:
-        d_a, d_b = int(d["d_A"]), int(d["d_B"])
-        alice, bob, state = list(d["alice"]), list(d["bob"]), d["state"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FileFormatError(f"strategy file must have d_A/d_B/alice/bob/state: {exc}")
-    if d_a < 1 or d_b < 1:
-        raise FileFormatError(f"strategy must have d_A, d_B >= 1, got {d_a} and {d_b}")
+    d_a, d_b = _size(d, "d_A", "strategy", 1), _size(d, "d_B", "strategy", 1)
     return Strategy(
-        _observable_stack(alice, d_a, "alice"),
-        _observable_stack(bob, d_b, "bob"),
-        _complex_vector(state, "strategy state"),
+        _observable_stack(d, "alice", d_a),
+        _observable_stack(d, "bob", d_b),
+        _pairs(_field(d, "state", "strategy"), "strategy state"),
     )
 
 
-def _observable_stack(mats, d: int, name: str) -> np.ndarray:
-    """The matrix objects mats as one (len(mats), d, d) stack; FileFormatError
-    unless each is d × d."""
-    arrays = [matrix_from_dict(m) for m in mats]
+def _observable_stack(doc, name: str, d: int) -> np.ndarray:
+    """The list of matrix objects doc[name] as one (k, d, d) stack;
+    FileFormatError unless each is d × d."""
+    arrays = [matrix_from_dict(m) for m in _field(doc, name, "strategy", list)]
     for k, a in enumerate(arrays):
         if a.shape != (d, d):
             raise FileFormatError(f"{name} observable {k} is {a.shape[0]}x{a.shape[1]}, not {d}x{d}")
@@ -195,22 +201,14 @@ def relations_to_dict(rel: RelationSystem) -> dict:
 def relations_from_dict(d, n_alice: int, n_bob: int) -> RelationSystem:
     """Relations for an n_alice × n_bob game; FileFormatError unless every
     pair has a u of length n_alice and a v of length n_bob."""
-    try:
-        y, pairs = d["y"], [(p["u"], p["v"]) for p in d["pairs"]]
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"relations file must have y/pairs: {exc}")
-    y = _float_list(y, "relations y")
+    y = _numbers(_field(d, "y", "relations"), "relations y")
+    pairs = _field(d, "pairs", "relations", list)
     u, v = np.empty((len(pairs), n_alice)), np.empty((len(pairs), n_bob))
-    for k, (uk, vk) in enumerate(pairs):
-        u[k], v[k] = _relation_row(uk, n_alice, "u", k), _relation_row(vk, n_bob, "v", k)
+    for k, p in enumerate(pairs):
+        what = f"relation pair {k}"
+        u[k] = _numbers(_field(p, "u", what), f"{what}: u", n_alice)
+        v[k] = _numbers(_field(p, "v", what), f"{what}: v", n_bob)
     return RelationSystem(y, u, v)
-
-
-def _relation_row(values, width: int, name: str, k: int) -> np.ndarray:
-    row = _float_list(values, f"relation {name}")
-    if row.size != width:
-        raise FileFormatError(f"relation pair {k}: {name} has length {row.size}, not {width}")
-    return row
 
 
 def y_to_dict(y) -> dict:
@@ -218,11 +216,7 @@ def y_to_dict(y) -> dict:
 
 
 def y_from_dict(d) -> np.ndarray:
-    try:
-        y = d["y"]
-    except (KeyError, TypeError) as exc:
-        raise FileFormatError(f"y file must have a 'y' list: {exc}")
-    y = _float_list(y, "y")
+    y = _numbers(_field(d, "y", "y file"), "y")
     if not np.isfinite(y).all():
         raise ValueError("y contains non-finite entries")
     return y

@@ -119,15 +119,19 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
+def require_counts(s: Strategy, n_alice: int, n_bob: int, wanter: str) -> Strategy:
+    """s itself if it has n_alice Alice and n_bob Bob observables;
+    DimensionMismatch naming wanter, what asked for them, otherwise."""
+    if (len(s.alice), len(s.bob)) != (n_alice, n_bob):
+        raise DimensionMismatch(f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
+                                f"{wanter} wants {n_alice}x{n_bob}")
+    return s
+
+
 def require_game_shape(g: XorGame, s: Strategy) -> Strategy:
     """s itself if it has one observable per question of g;
     DimensionMismatch otherwise."""
-    if len(s.alice) != g.n_alice or len(s.bob) != g.n_bob:
-        raise DimensionMismatch(
-            f"strategy has {len(s.alice)}x{len(s.bob)} observables, "
-            f"game wants {g.n_alice}x{g.n_bob}"
-        )
-    return s
+    return require_counts(s, g.n_alice, g.n_bob, "game")
 
 
 def _correlations(alice: np.ndarray, bob: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -207,6 +211,8 @@ def tsirelson_strategy(z, n: int, m: int) -> Strategy:
     that ⟨ψ|A_i⊗B_j|ψ⟩ = x_i·x_{n+j} = z[i, n+j].  z is read as its real
     part, and rejected if an imaginary part exceeds 1e-9.
     """
+    if n < 1 or m < 1:
+        raise ValueError(f"a strategy needs n, m >= 1 questions, got n = {n}, m = {m}")
     zm = np.asarray(z)
     if np.abs(zm.imag).max(initial=0.0) > 1e-9:
         raise ValueError("correlation matrix must be real")
@@ -273,20 +279,18 @@ def embed_with_junk(
 
     junk_alice and junk_bob are (n, extra_A, extra_A) and (m, extra_B,
     extra_B) stacks, one block per observable, needed when the extra
-    dimension is positive.  The state never touches the new sectors, so the
-    bias is unchanged.
+    dimension is positive and refused when it is 0.  The state never
+    touches the new sectors, so the bias is unchanged.
     """
     if extra_A < 0 or extra_B < 0:
         raise ValueError("extra dimensions must be >= 0")
 
     def extend(obs: np.ndarray, junk, extra: int, name: str) -> np.ndarray:
-        if extra == 0:
+        if extra == 0 and junk is None:
             return obs
-        junk = np.asarray(junk if junk is not None else (), dtype=complex)
-        if junk.shape != (len(obs), extra, extra):
-            raise DimensionMismatch(
-                f"{name} junk is {junk.shape}, need one {extra}x{extra} block per observable"
-            )
+        if extra == 0 or np.shape(junk) != (len(obs), extra, extra):
+            want = f"one {extra}x{extra} block per observable" if extra else "none for extra dimension 0"
+            raise DimensionMismatch(f"{name} junk is {np.shape(junk)}, want {want}")
         big = np.pad(obs, ((0, 0), (0, extra), (0, extra)))
         big[:, -extra:, -extra:] = junk
         return big

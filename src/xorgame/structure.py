@@ -30,6 +30,7 @@ from .strategies import (
     _matched_combinations,
     canonical_chshn,
     perturb,
+    require_counts,
     require_observables,
 )
 
@@ -44,12 +45,7 @@ def require_chshn_shape(s: Strategy, n: int) -> Strategy:
     """s itself if it has the CHSH(n) shape, n Alice and n(n−1) Bob
     observables; InvalidN unless n is an integer >= 2, DimensionMismatch
     otherwise."""
-    require_chshn_n(n)
-    if (len(s.alice), len(s.bob)) != (n, n * (n - 1)):
-        raise DimensionMismatch(
-            f"strategy has {len(s.alice)}x{len(s.bob)} observables, expected {n}x{n * (n - 1)}"
-        )
-    return s
+    return require_counts(s, require_chshn_n(n), n * (n - 1), f"CHSH({n})")
 
 
 def _chain_products(mats: np.ndarray) -> np.ndarray:
@@ -133,10 +129,9 @@ def canonical_vector_family(n: int) -> list[np.ndarray]:
     return list(_reference(n).ybar.conj())
 
 
-def _state_chains(s: Strategy, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _state_chains(s: Strategy) -> tuple[np.ndarray, np.ndarray]:
     """The chain products A^j, as a (2ⁿ, d_A, d_A) stack, and the chains
-    C_j = A^j·M_ψ, as a (2ⁿ, d_A, d_B) stack, for every bit string j."""
-    require_chshn_shape(s, n)
+    C_j = A^j·M_ψ, as a (2ⁿ, d_A, d_B) stack, over Alice's n observables."""
     prods = _chain_products(s.alice)
     return prods, prods @ s.state
 
@@ -170,7 +165,8 @@ def build_intertwiner(s: Strategy, n: int) -> np.ndarray:
     The reference vectors are orthonormal and each A^j is unitary, so
     ‖T‖_F = 1 for every valid strategy.
     """
-    return _intertwiner(_state_chains(s, n)[1], _reference(n))
+    require_chshn_shape(s, n)
+    return _intertwiner(_state_chains(s)[1], _reference(n))
 
 
 @dataclass(frozen=True)
@@ -221,7 +217,7 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     require_chshn_game(g, n)
     ref = _reference(n)
     eps = certify_epsilon(g, s, ref.relations, TSIRELSON_BIAS)
-    prods, chains = _state_chains(s, n)
+    prods, chains = _state_chains(s)
     bob_res = _bob_residuals(prods, chains, s, n, ref)
     del prods
     alice_res = _alice_residuals(chains, s, n)

@@ -123,7 +123,7 @@ def direct_bob_residuals(s, n: int) -> tuple[float, ...]:
     column by column: 2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±F_a + F_b)_j‖² with
     F_t = τ_t(j)·C_{j⊕e_t}/√2 and + for a < b, each as one GEMM and a
     directly formed difference."""
-    chains = _state_chains(s, n)[1]
+    chains = _state_chains(s)[1]
     signs = _reference(n).signs
     rows = chains.reshape(-1, s.d_B)
 
@@ -145,7 +145,7 @@ def chain_span(s, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a 2ⁿd_A × d_B matrix, from the chain-product stack P = [A^j], of which
     C = P·M_ψ: with PᴴP = VΛVᴴ, Q = P·V·Λ^(−1/2) spans P, which contains
     the span of the chains whatever the rank of M_ψ, and R = Λ^(1/2)·Vᴴ·M_ψ."""
-    prods, chains = _state_chains(s, n)
+    prods, chains = _state_chains(s)
     p = prods.reshape(-1, s.d_A)
     lam, v = np.linalg.eigh(p.conj().T @ p)
     root = np.sqrt(lam)

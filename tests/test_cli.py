@@ -557,16 +557,17 @@ class TestInvalidNumbersNameTheFile:
         doc = _with_nan(chsh2[source], keys)
         self._assert_named(capsys, chsh2, tmp_path, doc, argv)
 
-    @pytest.mark.parametrize("case", ["wrong-shape", "empty", "not-psd"])
+    @pytest.mark.parametrize("case", ["wrong-shape", "empty", "not-psd", "zero-n", "negative-n"])
     def test_tsirelson_z(self, capsys, chsh2, tmp_path, case):
         # a CHSH(2) z is 4 × 4, so --m 3 wants 5 × 5; z[0, 1] = z[1, 0] = 2
-        # gives the eigenvalue −1
+        # gives the eigenvalue −1; n + m = 4 fits z at n = 0 and at n = −1
         z = np.zeros((0, 0)) if case == "empty" else np.eye(4)
-        m = "3" if case == "wrong-shape" else "2"
+        n, m = {"wrong-shape": ("2", "3"), "zero-n": ("0", "4"), "negative-n": ("-1", "5")}.get(
+            case, ("2", "2"))
         if case == "not-psd":
             z[0, 1] = z[1, 0] = 2.0
         doc = json.loads(sz.dumps(sz.matrix_to_dict(z)))
-        argv = ["strategy", "tsirelson", "--z", "{bad}", "--n", "2", "--m", m, "--out", "{out}"]
+        argv = ["strategy", "tsirelson", "--z", "{bad}", "--n", n, "--m", m, "--out", "{out}"]
         self._assert_named(capsys, chsh2, tmp_path, doc, argv)
 
 
@@ -589,8 +590,13 @@ class TestWrongTypedFieldsAreInputErrors:
             {"n_alice": 2, "n_bob": 2, "matrix": [0.25]},
             {"n_alice": 2, "n_bob": 2},
             {"n_alice": -2, "n_bob": -2, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": "2", "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": "2", "n_bob": 2.9, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": 2, "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25], "labels": "ab"},
+            {"n_alice": 2, "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25], "labels": ["a"]},
         ],
-        ids=["matrix-is-a-number", "entry-count", "missing-matrix", "negative-sizes"],
+        ids=["matrix-is-a-number", "entry-count", "missing-matrix", "negative-sizes",
+             "string-size", "string-and-fractional-sizes", "labels-string", "labels-count"],
     )
     def test_game_check(self, capsys, tmp_path, doc):
         bad = tmp_path / "game.json"

@@ -75,6 +75,14 @@ class TestNewGame:
         with pytest.raises(ValueError):
             g.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("labels", ["ab", ["a", "b"], (1, 2), ("a", "b", "c"), ("a",)], ids=repr)
+    def test_labels_must_be_a_tuple_of_n_bob_strings(self, labels):
+        m = np.array([[0.25, 0.25], [0.25, -0.25]])
+        for build in (lambda: XorGame(2, 2, m, labels), lambda: new_game(m, labels=labels)):
+            with pytest.raises(ValueError, match="^labels must be a tuple of n_bob = 2 strings, got "):
+                build()
+        assert new_game(m, labels=("a", "b")).labels == ("a", "b")
+
     @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_normalize_always_valid(self, n, m, seed):

@@ -486,6 +486,14 @@ class TestWrongTypedFields:
             {"n_alice": [2], "n_bob": 2, "matrix": []},
             {"n_alice": -2, "n_bob": -2, "matrix": [0.25, 0.25, 0.25, -0.25]},  # (-2)·(-2) = 4
             {"n_alice": 0, "n_bob": 3, "matrix": []},
+            {"n_alice": "2", "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": 2, "n_bob": 2.9, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": 2, "n_bob": 2.0, "matrix": [0.25, 0.25, 0.25, -0.25]},
+            {"n_alice": True, "n_bob": 1, "matrix": [1.0]},
+            {"n_alice": 1, "n_bob": 2, "matrix": [0.5, 0.5], "labels": "ab"},
+            {"n_alice": 1, "n_bob": 2, "matrix": [0.5, 0.5], "labels": [1, 2]},
+            {"n_alice": 1, "n_bob": 2, "matrix": [0.5, 0.5], "labels": ["a", "b", "c"]},
+            [2, 2, [0.25, 0.25, 0.25, -0.25]],
         ],
     )
     def test_game(self, doc):
@@ -495,7 +503,8 @@ class TestWrongTypedFields:
     @pytest.mark.parametrize(
         "field,value",
         [("alice", 3), ("bob", None), ("alice", [3]), ("alice", ["ab"]), ("state", 5),
-         ("state", [[1.0]]), ("d_A", [2])],
+         ("state", [[1.0]]), ("d_A", [2]), ("d_A", 2.7), ("d_A", "2"), ("d_B", True),
+         ("d_B", -2)],
     )
     def test_strategy(self, field, value):
         d = sz.strategy_to_dict(canonical_chshn(2))
@@ -504,7 +513,9 @@ class TestWrongTypedFields:
             sz.strategy_from_dict(d)
 
     @pytest.mark.parametrize("d", [5, [1, 2], {"rows": [1], "cols": 1, "entries": [[1, 0]]},
-                                   {"rows": -1, "cols": -1, "entries": [[1, 0]]}])
+                                   {"rows": -1, "cols": -1, "entries": [[1, 0]]},
+                                   {"rows": True, "cols": 1, "entries": [[1, 0]]},
+                                   {"rows": 1, "cols": 1.0, "entries": [[1, 0]]}])
     def test_matrix(self, d):
         with pytest.raises(sz.FileFormatError):
             sz.matrix_from_dict(d)

@@ -3,8 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+import xorgame.cli as cli
+from xorgame import serialize as sz
 from xorgame.games import chsh_game, new_game
 from xorgame.linalg import DimensionMismatch, NonHermitian
+from xorgame.relations import certify_epsilon, check_identity, chshn_relations_form2, residual
 from xorgame.strategies import (
     OBSERVABLE_HERMITIAN_TOL,
     OBSERVABLE_SQUARE_TOL,
@@ -24,6 +27,14 @@ from xorgame.strategies import (
     _canonical_alice,
     _conjugate,
     _matched_combinations,
+)
+from xorgame.structure import (
+    ab_switch_check,
+    anticommutation_residual,
+    build_intertwiner,
+    intertwiner_report,
+    require_chshn_shape,
+    verify_optimal_form,
 )
 
 from conftest import near_optimal_variants, random_observable
@@ -328,6 +339,13 @@ class TestTsirelson:
         with pytest.raises(DimensionMismatch):
             tsirelson_strategy(np.eye(4), 2, 3)
 
+    @pytest.mark.parametrize("n,m", [(0, 4), (-1, 5), (4, 0), (2, -2)])
+    def test_rejects_counts_below_one_before_the_shape(self, n, m):
+        # n + m = 4 fits the 4 × 4 z except at (2, -2), which gets the same error
+        want = f"^a strategy needs n, m >= 1 questions, got n = {n}, m = {m}$"
+        with pytest.raises(ValueError, match=want):
+            tsirelson_strategy(np.eye(4), n, m)
+
     def test_rejects_complex_z_before_its_shape(self):
         z = np.eye(4) + 0.5j * (np.eye(4, k=1) - np.eye(4, k=-1))
         with warnings.catch_warnings():
@@ -417,6 +435,18 @@ class TestEmbedWithJunk:
         with pytest.raises(DimensionMismatch):
             embed_with_junk(s, 2, 0, junk, None)
 
+    @pytest.mark.parametrize(
+        "extra_a,extra_b,junk_alice,junk_bob,side",
+        [(0, 0, np.ones((2, 5, 5)), "nonsense", "Alice"),
+         (0, 0, None, "nonsense", "Bob"),
+         (2, 0, np.zeros((2, 2, 2)), np.zeros((2, 0, 0)), "Bob")],
+    )
+    def test_junk_for_a_zero_extra_dimension_is_refused(self, extra_a, extra_b, junk_alice,
+                                                        junk_bob, side):
+        want = f"^{side} junk is .*, want none for extra dimension 0$"
+        with pytest.raises(DimensionMismatch, match=want):
+            embed_with_junk(canonical_chshn(2), extra_a, extra_b, junk_alice, junk_bob)
+
 
 class TestPerturb:
     def test_theta_zero_is_identity(self):
@@ -483,3 +513,54 @@ class TestStacksMatchPerMatrixOracles:
                 got = _conjugate(obs, theta, np.random.default_rng(seed))
                 want = per_matrix_conjugate(obs, theta, np.random.default_rng(seed))
                 assert got.tobytes() == want.tobytes(), (seed, theta)
+
+
+G2 = chsh_game(2)[0]
+
+
+class TestOneCountCheck:
+    """Every check that a strategy has as many observables as a game, a
+    relation system or CHSH(n) wants is strategies.require_counts, so a
+    mismatch reads the same wherever it enters."""
+
+    @pytest.mark.parametrize(
+        "entry,wanter",
+        [
+            (lambda s: bias(G2, s), "game"),
+            (lambda s: simulate(G2, s, 10, seed=0), "game"),
+            (lambda s: residual(s, chshn_relations_form2(2)), "relation system"),
+            (lambda s: check_identity(G2, s, chshn_relations_form2(2)), "relation system"),
+            # the relations fit the strategy; only the game does not
+            (lambda s: certify_epsilon(G2, s, chshn_relations_form2(3), 0.7), "game"),
+            (lambda s: require_chshn_shape(s, 2), "CHSH(2)"),
+            (lambda s: anticommutation_residual(s, 2), "CHSH(2)"),
+            (lambda s: ab_switch_check(s, 2, 1), "CHSH(2)"),
+            (lambda s: verify_optimal_form(s, 2), "CHSH(2)"),
+            (lambda s: build_intertwiner(s, 2), "CHSH(2)"),
+            (lambda s: intertwiner_report(G2, s, 2), "CHSH(2)"),
+            (["strategy", "bias", "{g}", "{s}"], "game"),
+            (["strategy", "simulate", "{g}", "{s}", "--rounds", "10", "--seed", "0"], "game"),
+            (["relations", "residual", "{g}", "{s}", "{rel}"], "game"),
+            (["structure", "verify", "{s}", "--n", "2"], "CHSH(2)"),
+            (["intertwiner", "report", "{g}", "{s}", "--n", "2"], "CHSH(2)"),
+        ],
+        ids=["bias", "simulate", "residual", "check_identity", "certify_epsilon",
+             "require_chshn_shape", "anticommutation_residual", "ab_switch_check",
+             "verify_optimal_form", "build_intertwiner", "intertwiner_report", "cli-bias",
+             "cli-simulate", "cli-residual", "cli-structure-verify", "cli-intertwiner-report"],
+    )
+    def test_one_wording(self, capsys, tmp_path, entry, wanter):
+        s = canonical_chshn(3)
+        want = f"strategy has 3x6 observables, {wanter} wants 2x2"
+        if callable(entry):
+            with pytest.raises(DimensionMismatch) as info:
+                entry(s)
+            assert str(info.value) == want
+            return
+        files = {"g": tmp_path / "g.json", "s": tmp_path / "s.json", "rel": tmp_path / "rel.json"}
+        sz.write_json(sz.game_to_dict(G2), files["g"])
+        sz.write_json(sz.strategy_to_dict(s), files["s"])
+        sz.write_json(sz.relations_to_dict(chshn_relations_form2(2)), files["rel"])
+        code = cli.main([a.format(**files) for a in entry])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", f"xorgame: error: {files['s']}: {want}\n")
