@@ -4,8 +4,8 @@ One binary, seven subcommand families: game, solve, relations, strategy,
 structure, intertwiner, sweep.  Artifact-producing commands print the
 artifact JSON to standard output, or write it to --out and print a run
 report instead; checking commands always print a run report.  Outputs
-that mirror a library report dataclass (`solve`, `structure verify`,
-`intertwiner report`) go through the one report encoder,
+and files that mirror a library result dataclass (`solve` and its --out,
+`structure verify`, `intertwiner report`) go through the one encoder,
 `serialize.report_to_dict`.  Exit codes: 0 success, 2 verification
 failure, 1 usage or input error (including unreadable input and unwritable
 output files).
@@ -34,6 +34,7 @@ from .strategies import (
     canonical_chshn,
     perturb,
     require_game_shape,
+    require_question_counts,
     simulate,
     tsirelson_strategy,
 )
@@ -142,7 +143,7 @@ def _cmd_solve(args, inputs):
     if args.dump_y:
         serialize.write_json(serialize.y_to_dict(sol.y), args.dump_y)
     if args.out:
-        serialize.write_json(serialize.solution_to_dict(sol), args.out)
+        serialize.write_json(serialize.report_to_dict(sol, omit=("iterations", "converged")), args.out)
     outputs = serialize.report_to_dict(sol, omit=("z", "y"))
     return outputs, EXIT_OK if sol.converged else EXIT_VERIFY
 
@@ -190,6 +191,7 @@ def _cmd_strategy_canonical(args, inputs):
 
 
 def _cmd_strategy_tsirelson(args, inputs):
+    require_question_counts(args.n, args.m)  # before any file, so that the error names none
     zm = _load(args.z, serialize.matrix_from_dict, inputs)
     s = _naming(args.z, tsirelson_strategy, zm, args.n, args.m)
     return _artifact(serialize.strategy_to_dict(s), args), EXIT_OK

@@ -50,11 +50,11 @@ class MaxIterations(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpSolution:
-    z: np.ndarray
-    y: np.ndarray
     primal_value: float
     dual_value: float
     gap: float
+    y: np.ndarray
+    z: np.ndarray
     iterations: int
     converged: bool = True
 
@@ -95,7 +95,7 @@ def _export(g: np.ndarray, y: np.ndarray, x: np.ndarray, iterations: int) -> Sdp
     z = (z + z.T) / 2
     primal = float((g * z).sum())
     dual = float(y.sum())
-    return SdpSolution(z, y.copy(), primal, dual, dual - primal, iterations)
+    return SdpSolution(primal, dual, dual - primal, y.copy(), z, iterations)
 
 
 def solve(g_sym, tol: float = DEFAULT_TOL) -> SdpSolution:
@@ -113,7 +113,7 @@ def solve(g_sym, tol: float = DEFAULT_TOL) -> SdpSolution:
     row_l1 = np.abs(g).sum(axis=1)
     norm = float(row_l1.max())
     if norm == 0.0:
-        return SdpSolution(np.eye(n), np.zeros(n), 0.0, 0.0, 0.0, 0)
+        return SdpSolution(0.0, 0.0, 0.0, np.zeros(n), np.eye(n), 0)
     target = tol * min(1.0, norm)
     # X = I and a strictly diagonally dominant S are interior points
     x = np.eye(n)

@@ -30,7 +30,6 @@ import numpy as np
 
 from .games import XorGame, new_game
 from .relations import RelationSystem
-from .sdp import SdpSolution
 from .strategies import Strategy
 from .structure import IntertwinerReport
 
@@ -51,20 +50,20 @@ def _pair_rows(z) -> np.ndarray:
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """Nested lists of numbers as a float array, converting each number as
-    float() does; FileFormatError for anything float() refuses, null included."""
+    """Nested lists of JSON numbers as a float array, each number as float()
+    reads it; FileFormatError naming the JSON kind of anything else.  numpy
+    upcasts a boolean among numbers, so [1, true] reads as [1.0, 1.0]."""
     try:
-        a = np.array(values, dtype=float, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:
+        a = np.array(values, order="C")
+    except ValueError as exc:  # ragged lists
         raise FileFormatError(f"{what} must hold numbers: {exc}") from None
-    # numpy turns null into NaN, which float(None) refuses
-    if np.isnan(a).any() and _holds_none(values):
-        raise FileFormatError(f"{what} must hold numbers, got null")
-    return a
-
-
-def _holds_none(v) -> bool:
-    return v is None or (isinstance(v, (list, tuple)) and any(map(_holds_none, v)))
+    if a.dtype.kind in "iuf":
+        return a.astype(float, copy=False)
+    kinds = set(map(type, a.reshape(-1).tolist()))  # numpy gives an int beyond 64 bits the object dtype
+    for t, name in ((str, "a string"), (type(None), "null"), (dict, "an object"), (bool, "a boolean")):
+        if t in kinds:
+            raise FileFormatError(f"{what} must hold numbers, got {name}")
+    raise FileFormatError(f"{what} must hold numbers, got an integer beyond 64 bits")
 
 
 def _field(d, key: str, what: str, kind=object):
@@ -87,8 +86,7 @@ def _size(d, key: str, what: str, floor: int) -> int:
 
 
 def _numbers(values, what: str, length: int | None = None) -> np.ndarray:
-    """A list of numbers, of the given length if any, as a 1-d float array
-    converted as _floats does; a JSON string is refused."""
+    """A list of numbers, of the given length if any, as a 1-d float array."""
     a = _floats(values, what)
     if a.ndim != 1:
         raise FileFormatError(f"{what} must be a list of numbers, got shape {a.shape}")
@@ -112,7 +110,7 @@ def _pairs(values, what: str, length: int | None = None) -> np.ndarray:
 def matrix_to_dict(m: np.ndarray) -> dict:
     """m as a matrix object whose "entries" is an (N, 2) float ndarray of
     [re, im] rows, not a JSON list: the result (and any dict holding it, as
-    from strategy_to_dict, solution_to_dict or report_to_dict) is input for
+    from strategy_to_dict or report_to_dict) is input for
     dumps/write_json only; json.dumps raises TypeError on it and == on two
     such dicts is ambiguous."""
     m = np.asarray(m, dtype=complex)
@@ -178,16 +176,6 @@ def _observable_stack(doc, name: str, d: int) -> np.ndarray:
     return np.array(arrays, dtype=complex).reshape(len(arrays), d, d)
 
 
-def solution_to_dict(sol: SdpSolution) -> dict:
-    return {
-        "primal_value": jfloat(sol.primal_value),
-        "dual_value": jfloat(sol.dual_value),
-        "gap": jfloat(sol.gap),
-        "y": [jfloat(x) for x in sol.y],
-        "z": matrix_to_dict(sol.z),
-    }
-
-
 def relations_to_dict(rel: RelationSystem) -> dict:
     return {
         "y": [jfloat(x) for x in rel.y],
@@ -225,7 +213,8 @@ def y_from_dict(d) -> np.ndarray:
 def report_to_dict(rep, omit=()) -> dict:
     """A report dataclass as a JSON object, fields in declaration order and
     those named in omit left out: floats at 12 significant digits, float
-    tuples as lists, matrices through matrix_to_dict, ints and bools as is."""
+    tuples and vectors as lists, matrices through matrix_to_dict, ints and
+    bools as is."""
     return {
         f.name: _report_field(getattr(rep, f.name))
         for f in dataclasses.fields(rep)
@@ -234,9 +223,9 @@ def report_to_dict(rep, omit=()) -> dict:
 
 
 def _report_field(v):
-    if isinstance(v, np.ndarray):
+    if isinstance(v, np.ndarray) and v.ndim == 2:
         return matrix_to_dict(v)
-    if isinstance(v, tuple):
+    if isinstance(v, (tuple, np.ndarray)):
         return [jfloat(x) for x in v]
     if isinstance(v, int):  # bool is an int
         return v

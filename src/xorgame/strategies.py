@@ -119,6 +119,12 @@ def maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
 
 
+def require_question_counts(n: int, m: int) -> None:
+    """ValueError unless n, m >= 1, the question counts of any strategy."""
+    if n < 1 or m < 1:
+        raise ValueError(f"a strategy needs n, m >= 1 questions, got n = {n}, m = {m}")
+
+
 def require_counts(s: Strategy, n_alice: int, n_bob: int, wanter: str) -> Strategy:
     """s itself if it has n_alice Alice and n_bob Bob observables;
     DimensionMismatch naming wanter, what asked for them, otherwise."""
@@ -211,8 +217,7 @@ def tsirelson_strategy(z, n: int, m: int) -> Strategy:
     that ⟨ψ|A_i⊗B_j|ψ⟩ = x_i·x_{n+j} = z[i, n+j].  z is read as its real
     part, and rejected if an imaginary part exceeds 1e-9.
     """
-    if n < 1 or m < 1:
-        raise ValueError(f"a strategy needs n, m >= 1 questions, got n = {n}, m = {m}")
+    require_question_counts(n, m)
     zm = np.asarray(z)
     if np.abs(zm.imag).max(initial=0.0) > 1e-9:
         raise ValueError("correlation matrix must be real")

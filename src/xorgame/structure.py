@@ -189,12 +189,14 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     The residuals are taken in the 2ⁿ chain basis, with C_j = A^j·M_ψ, the
     blocks T is built from.  A canonical observable maps reference vector j
     to ± another one (the insertion signs σ_i and τ_t of _Reference), and
-    the reference vectors are orthonormal,
-    so with j⊕e_i the string j with bit i flipped
+    the reference vectors are orthonormal, so with j⊕e_i the string j with
+    bit i flipped
       Alice i:    2ⁿ·res² = Σ_j ‖A_i C_j − σ_i(j) C_{j⊕e_i}‖²,
       Bob (a,b):  2ⁿ·res² = Σ_j ‖C_j B_abᵀ − (±F_a + F_b)_j‖²,
                   F_t = τ_t(j)·C_{j⊕e_t}/√2,
-    + for a < b and − for a > b.  Alice takes one GEMM per observable.  Bob
+    + for a < b and − for a > b.  Alice takes one GEMM per observable; her
+    first residual is rounding noise, as A_1 leads every chain: A_1 C_j =
+    C_{j⊕e_1} up to rounding (A_1² = I), so T intertwines A_1 exactly.  Bob
     takes a projection onto the span of the chain-product stack P = [A^j],
     which holds every C_j B_abᵀ = A^j·M_ψ·B_abᵀ.  F_t = P̃_t·M_ψ/√2, so with
     Λ = PᴴP and W_t = PᴴP̃_t (_chain_grams), the in-span part of F_t is P·Y_t

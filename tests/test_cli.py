@@ -557,13 +557,12 @@ class TestInvalidNumbersNameTheFile:
         doc = _with_nan(chsh2[source], keys)
         self._assert_named(capsys, chsh2, tmp_path, doc, argv)
 
-    @pytest.mark.parametrize("case", ["wrong-shape", "empty", "not-psd", "zero-n", "negative-n"])
+    @pytest.mark.parametrize("case", ["wrong-shape", "empty", "not-psd"])
     def test_tsirelson_z(self, capsys, chsh2, tmp_path, case):
         # a CHSH(2) z is 4 × 4, so --m 3 wants 5 × 5; z[0, 1] = z[1, 0] = 2
-        # gives the eigenvalue −1; n + m = 4 fits z at n = 0 and at n = −1
+        # gives the eigenvalue −1
         z = np.zeros((0, 0)) if case == "empty" else np.eye(4)
-        n, m = {"wrong-shape": ("2", "3"), "zero-n": ("0", "4"), "negative-n": ("-1", "5")}.get(
-            case, ("2", "2"))
+        n, m = ("2", "3") if case == "wrong-shape" else ("2", "2")
         if case == "not-psd":
             z[0, 1] = z[1, 0] = 2.0
         doc = json.loads(sz.dumps(sz.matrix_to_dict(z)))
@@ -594,14 +593,34 @@ class TestWrongTypedFieldsAreInputErrors:
             {"n_alice": "2", "n_bob": 2.9, "matrix": [0.25, 0.25, 0.25, -0.25]},
             {"n_alice": 2, "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25], "labels": "ab"},
             {"n_alice": 2, "n_bob": 2, "matrix": [0.25, 0.25, 0.25, -0.25], "labels": ["a"]},
+            {"n_alice": 1, "n_bob": 1, "matrix": [True]},
         ],
         ids=["matrix-is-a-number", "entry-count", "missing-matrix", "negative-sizes",
-             "string-size", "string-and-fractional-sizes", "labels-string", "labels-count"],
+             "string-size", "string-and-fractional-sizes", "labels-string", "labels-count",
+             "bool-entry"],
     )
     def test_game_check(self, capsys, tmp_path, doc):
         bad = tmp_path / "game.json"
         bad.write_text(json.dumps(doc))
         self._assert_input_error(capsys, bad, ["game", "check", str(bad)])
+
+    @pytest.mark.parametrize("source,key,argv", [
+        ("g", "matrix", ["game", "check", "{bad}"]),
+        ("can", "state", ["strategy", "bias", "{g}", "{bad}"]),
+    ], ids=["game-check", "strategy-bias"])
+    def test_numbers_as_strings(self, capsys, chsh2, tmp_path, source, key, argv):
+        # float() reads "0.25", but a number list holds JSON numbers only
+        def strings(v):
+            return [strings(x) for x in v] if isinstance(v, list) else str(v)
+
+        doc = sz.read_json(chsh2[source])
+        doc[key] = strings(doc[key])
+        bad = tmp_path / "strings.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *(a.format(bad=bad, **chsh2) for a in argv))
+        assert (code, out) == (1, "")
+        what = {"matrix": "game matrix", "state": "strategy state"}[key]
+        assert err == f"xorgame: error: {bad}: {what} must hold numbers, got a string\n"
 
     @pytest.mark.parametrize("argv", [["game", "check", "{bad}"], ["solve", "{bad}"]],
                              ids=["game-check", "solve"])
@@ -742,6 +761,15 @@ class TestInvalidParametersAreInputErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err == "xorgame: error: CHSH(n) needs integer n >= 2, got 1\n"
+
+    @pytest.mark.parametrize("n,m", [("0", "4"), ("-1", "5"), ("2", "0")],
+                             ids=["zero-n", "negative-n", "zero-m"])
+    def test_tsirelson_counts_below_one(self, capsys, chsh2, n, m):
+        # the counts are checked before z is read, so the one line names no
+        # file, although n + m = 4 fits the CHSH(2) z at n = 0 and n = −1
+        code, out, err = run(capsys, "strategy", "tsirelson", "--z", chsh2["z"], "--n", n, "--m", m)
+        assert (code, out) == (1, "")
+        assert err == f"xorgame: error: a strategy needs n, m >= 1 questions, got n = {n}, m = {m}\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_relations_extract_cutoff(self, capsys, chsh2, value):

@@ -112,8 +112,9 @@ class TestArtifactRoundTrips:
     def test_solution_fields(self):
         g, _ = chsh_game(2)
         sol = solve(symmetrize(g), 1e-7)
-        d = sz.solution_to_dict(sol)
-        assert set(d) == {"primal_value", "dual_value", "gap", "y", "z"}
+        d = sz.report_to_dict(sol, omit=("iterations", "converged"))
+        assert list(d) == ["primal_value", "dual_value", "gap", "y", "z"]
+        assert d["y"] == [sz.jfloat(x) for x in sol.y]
         assert d["primal_value"] == pytest.approx(1 / np.sqrt(2), abs=1e-6)
         zm = sz.matrix_from_dict(d["z"])
         assert zm.shape == (4, 4)
@@ -423,7 +424,12 @@ class TestReaderMatchesPerEntryParse:
         pairs = data.draw(st.lists(st.lists(json_numbers, min_size=2, max_size=2),
                                    min_size=rows * cols, max_size=rows * cols))
         d = json.loads(json.dumps({"rows": rows, "cols": cols, "entries": pairs}))
-        assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
+        if pairs and all(isinstance(x, bool) for p in pairs for x in p):
+            # booleans only are refused, where float() took them
+            with pytest.raises(sz.FileFormatError, match="got a boolean$"):
+                sz.matrix_from_dict(d)
+        else:
+            assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
 
     def test_random_values_and_in_process_arrays(self):
         m = np.random.default_rng(3).standard_normal((6, 5)) * (1 + 1j)
@@ -431,14 +437,32 @@ class TestReaderMatchesPerEntryParse:
         assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
         assert same_bits(sz.matrix_from_dict(sz.matrix_to_dict(m)), m)
 
-    def test_accepts_what_float_accepts(self):
-        # Accepted today and still accepted: ints, bools, NaN/Infinity
-        # literals, and numeric strings as float() parses them.
-        entries = [[1, True], [" 1.5 ", "1_000"], ["nan", "-Infinity"], [math.nan, -0.0]]
+    def test_reads_json_numbers_bit_for_bit(self):
+        # ints, NaN/-Infinity literals and -0.0; numpy upcasts a bool among
+        # numbers, so [1, true] reads as [1, 1], the one non-number accepted
+        entries = json.loads("[[1, -7], [NaN, -Infinity], [-0.0, 1e300], [1, true]]")
         d = {"rows": 2, "cols": 2, "entries": entries}
         assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
         assert same_bits(sz.matrix_from_dict({"rows": 0, "cols": 3, "entries": []}),
                          np.zeros((0, 3), dtype=complex))
+
+    @pytest.mark.parametrize(
+        "entries,got",
+        [
+            ([[" 1.5 ", "1_000"]], "a string"),
+            ([["nan", 1.0]], "a string"),
+            ([[None, 1.0]], "null"),
+            ([[None, None]], "null"),
+            ([[True, False]], "a boolean"),
+            ([[{"re": 1}, 1.0]], "an object"),
+            ([[2**64, 0.0]], "an integer beyond 64 bits"),
+        ],
+        ids=["strings", "numeric-string", "null", "nulls", "booleans", "object", "int-beyond-64-bits"],
+    )
+    def test_refuses_what_is_not_a_json_number(self, entries, got):
+        # float() takes the strings, the booleans and 2**64
+        with pytest.raises(sz.FileFormatError, match=f"^matrix entry list must hold numbers, got {got}$"):
+            sz.matrix_from_dict({"rows": 1, "cols": 1, "entries": entries})
 
     @pytest.mark.parametrize(
         "entries",

@@ -412,6 +412,18 @@ class TestChainBasisResiduals:
             if include_bob:
                 assert min(rep.bob_residuals) > 1e-4
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_first_alice_residual_is_rounding_noise(self, n):
+        # A_1 is the leftmost factor of every chain, so T intertwines it
+        # exactly, however far the strategy is from canonical; the other
+        # Alice observables are not
+        g, _ = chsh_game(n)
+        s = canonical_chshn(n)
+        for theta, seed, include_bob in itertools.product((0.01, 0.1, 1.0, 3.0), range(3), (False, True)):
+            rep = intertwiner_report(g, perturb(s, theta, seed=seed, include_bob=include_bob), n)
+            assert rep.alice_residuals[0] <= 1e-13
+            assert max(rep.alice_residuals[1:]) > 1e-3
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_junk_embedded_match_reshape_reference(self, n):
         g, _ = chsh_game(n)
