@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import XorGame, chshn_matrix, chshn_pair_order, require_chshn_n, symmetrize
+from .games import XorGame, _per_n, chshn_matrix, chshn_pair_order, require_chshn_n, symmetrize
 from .linalg import DimensionMismatch, hermitian_eig
 from .strategies import Strategy, bias, require_counts, require_game_shape
 
@@ -115,9 +115,10 @@ def _pair_scale(n: int) -> float:
     return 1.0 / np.sqrt(2.0 * np.sqrt(2.0) * n * (n - 1))
 
 
+@_per_n
 def chshn_relations_form1(n: int) -> RelationSystem:
     """Closed-form CHSH(n) relations: one question vs. a Bell-type combination
-    of the two answer columns for that unordered pair."""
+    of the two answer columns for that unordered pair; shared per n (_per_n)."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
     h = c / np.sqrt(2.0)
@@ -130,11 +131,12 @@ def chshn_relations_form1(n: int) -> RelationSystem:
     return RelationSystem(y, u, v)
 
 
+@_per_n
 def chshn_relations_form2(n: int) -> RelationSystem:
     """Closed-form CHSH(n) relations: a ± combination of two questions vs. the
-    single answer column for that ordered pair.  Row t of U is c/√2 times
-    the signs of game column t, the matched sign at its first question and
-    + at its second; V = c·I."""
+    single answer column for that ordered pair; shared per n (_per_n).  Row
+    t of U is c/√2 times the signs of game column t, the matched sign at its
+    first question and + at its second; V = c·I."""
     y = chshn_dual_y(n)
     c = _pair_scale(n)
     u = (c / np.sqrt(2.0)) * np.sign(chshn_matrix(n)).T

@@ -51,19 +51,23 @@ def _pair_rows(z) -> np.ndarray:
 
 def _floats(values, what: str) -> np.ndarray:
     """Nested lists of JSON numbers as a float array, each number as float()
-    reads it; FileFormatError naming the JSON kind of anything else.  numpy
-    upcasts a boolean among numbers, so [1, true] reads as [1.0, 1.0]."""
+    reads it; FileFormatError naming the JSON kind of anything else, or an
+    integer too large for a double.  numpy upcasts a boolean among numbers,
+    so [1, true] reads as [1.0, 1.0]."""
     try:
         a = np.array(values, order="C")
     except ValueError as exc:  # ragged lists
         raise FileFormatError(f"{what} must hold numbers: {exc}") from None
     if a.dtype.kind in "iuf":
         return a.astype(float, copy=False)
-    kinds = set(map(type, a.reshape(-1).tolist()))  # numpy gives an int beyond 64 bits the object dtype
+    kinds = set(map(type, a.reshape(-1).tolist()))
     for t, name in ((str, "a string"), (type(None), "null"), (dict, "an object"), (bool, "a boolean")):
         if t in kinds:
             raise FileFormatError(f"{what} must hold numbers, got {name}")
-    raise FileFormatError(f"{what} must hold numbers, got an integer beyond 64 bits")
+    try:  # numpy gives an int beyond 64 bits the object dtype; read each as float() does
+        return np.array(values, dtype=float)
+    except OverflowError:
+        raise FileFormatError(f"{what} must hold numbers, got an integer beyond the double range") from None
 
 
 def _field(d, key: str, what: str, kind=object):

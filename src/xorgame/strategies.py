@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .games import XorGame, chshn_pair_order, require_chshn_n
+from .games import XorGame, _per_n, chshn_pair_order, require_chshn_n
 from .linalg import DimensionMismatch, NonHermitian, frobenius, hermitian_eig
 
 OBSERVABLE_HERMITIAN_TOL = 1e-10
@@ -196,8 +196,10 @@ def _canonical_alice(n: int) -> np.ndarray:
     return _kron_rows(np.stack([_EYE2] * 2 * k + [_SIGMA_Z]), fam)
 
 
+@_per_n
 def canonical_chshn(n: int) -> Strategy:
-    """The canonical optimal CHSH(n) strategy on C^(2^⌈n/2⌉) ⊗ C^(2^⌈n/2⌉).
+    """The canonical optimal CHSH(n) strategy on C^(2^⌈n/2⌉) ⊗ C^(2^⌈n/2⌉),
+    checked once and shared per n (_per_n).
 
     Alice's observables anticommute pairwise; Bob answers each ordered pair
     with the transpose of its matched answer (±A_a + A_b)/√2 (see

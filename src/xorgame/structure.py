@@ -14,16 +14,15 @@ GEMMs; ε comes from the relation residual.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .games import NORMALIZATION_TOL, XorGame, chsh_game, chshn_matrix, chshn_pair_order, require_chshn_n
+from .games import XorGame, _per_n, chsh_game, chshn_pair_order, require_chshn_game, require_chshn_n
 from .linalg import DimensionMismatch, frobenius, hermitian_eig, schmidt, sign_normalize
-from .relations import RelationSystem, certify_epsilon, chshn_relations_form2
+from .relations import certify_epsilon, chshn_relations_form2
 from .strategies import (
     Strategy,
     _canonical_alice,
@@ -76,25 +75,20 @@ class _Reference:
         trailing axis, the factor of the flipped term F_t.
     targets: row k holds the coefficients of F_1 … F_n in the target
         ±F_a + F_b of Bob column k = (a, b) of chshn_pair_order(n), the
-        signs of game column k.
-    game: the CHSH(n) game matrix.
-    relations: the form-2 relation system, whose residual gives ε.
+        signs of game column k and of row k of the form-2 U.
     """
 
     ybar: np.ndarray
     signs: np.ndarray
     taus: tuple[np.ndarray, ...]
     targets: np.ndarray
-    game: np.ndarray
-    relations: RelationSystem
 
 
-@functools.lru_cache(maxsize=1)
+@_per_n
 def _reference(n: int) -> _Reference:
-    """The reference data for CHSH(n), built from the raw canonical Alice
-    matrices, with the CHSH(n) game matrix and form-2 relations; its arrays
-    are read-only.  One entry serves every report of a run of equal n, such
-    as a sweep's cells."""
+    """The reference data for CHSH(n), shared per n (_per_n); its arrays are
+    read-only.  ybar comes from the raw canonical Alice matrices, not from
+    canonical_chshn's symmetrized stack, whose signed zeros may differ."""
     mats = _canonical_alice(n)
     ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
     signs = np.ones(1)
@@ -105,23 +99,10 @@ def _reference(n: int) -> _Reference:
         np.broadcast_to(signs[: 2 ** (n - t)].reshape(axes[t:]) / np.sqrt(2.0), axes)
         for t in range(1, n + 1)
     )
-    game = chshn_matrix(n)
-    targets = np.ascontiguousarray(np.sign(game).T)
-    relations = chshn_relations_form2(n)
-    for arr in (ybar, signs, targets, game):
+    targets = np.sign(chshn_relations_form2(n).u)
+    for arr in (ybar, signs, targets):
         arr.flags.writeable = False
-    return _Reference(ybar, signs, taus, targets, game, relations)
-
-
-def require_chshn_game(g: XorGame, n: int) -> XorGame:
-    """g itself if it is the CHSH(n) game, entry by entry within
-    NORMALIZATION_TOL; DimensionMismatch or ValueError otherwise."""
-    if g.matrix.shape != (n, n * (n - 1)):
-        raise DimensionMismatch(f"game is {g.n_alice}x{g.n_bob}, CHSH({n}) is {n}x{n * (n - 1)}")
-    dev = np.abs(g.matrix - _reference(n).game).max()
-    if dev > NORMALIZATION_TOL:
-        raise ValueError(f"game is not CHSH({n}): an entry deviates from it by {dev:.3e}")
-    return g
+    return _Reference(ybar, signs, taus, targets)
 
 
 def canonical_vector_family(n: int) -> list[np.ndarray]:
@@ -218,7 +199,7 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     require_chshn_shape(s, n)
     require_chshn_game(g, n)
     ref = _reference(n)
-    eps = certify_epsilon(g, s, ref.relations, TSIRELSON_BIAS)
+    eps = certify_epsilon(g, s, chshn_relations_form2(n), TSIRELSON_BIAS)
     prods, chains = _state_chains(s)
     bob_res = _bob_residuals(prods, chains, s, n, ref)
     del prods
@@ -312,10 +293,11 @@ def intertwiner_sweep(
     """(n, θ, seed, report) for the canonical CHSH(n) strategy perturbed by
     θ with that seed, over the grid n_values × thetas × seeds in that order.
 
-    The game and the canonical strategy, the perturbed base, are built once
-    per n; the cells of one n share the intertwiner's cached reference
-    data.  An empty axis raises ValueError: a sweep without cells checks no
-    bound.
+    The game, the canonical strategy (the perturbed base), the form-2
+    relations and the intertwiner's reference data depend on n alone and
+    are built once per process and shared read-only (games._per_n), so a
+    cell pays only for its perturbed strategy.  An empty axis raises
+    ValueError: a sweep without cells checks no bound.
     """
     if not (n_values and thetas and seeds):
         raise ValueError("sweep grid is empty")

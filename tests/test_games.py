@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xorgame import games
+from xorgame import games, structure
 from xorgame.games import (
     InvalidN,
     NotNormalized,
@@ -19,7 +19,12 @@ from xorgame.games import (
     new_game,
     symmetrize,
 )
-from xorgame.relations import chshn_dual_y, chshn_relations_form1, chshn_relations_form2
+from xorgame.relations import (
+    RelationSystem,
+    chshn_dual_y,
+    chshn_relations_form1,
+    chshn_relations_form2,
+)
 from xorgame.strategies import canonical_chshn
 from xorgame.structure import canonical_vector_family
 
@@ -169,6 +174,64 @@ class TestOneNCheck:
     @pytest.mark.parametrize("n", [2, 7, np.int64(3)], ids=repr)
     def test_accepts_integers_from_two(self, n):
         assert games.require_chshn_n(n) == n and type(games.require_chshn_n(n)) is int
+
+
+def _arrays(obj):
+    """Every array of a cached CHSH(n) object, in a fixed order."""
+    if isinstance(obj, tuple) and isinstance(obj[0], XorGame):
+        return [obj[0].matrix]
+    if isinstance(obj, structure._Reference):
+        return [obj.ybar, obj.signs, obj.targets, *obj.taus]
+    if isinstance(obj, RelationSystem):
+        return [obj.y, obj.u, obj.v]
+    return [obj.alice, obj.bob, obj.state]
+
+
+_PER_N = [chsh_game, canonical_chshn, chshn_relations_form1, chshn_relations_form2,
+          structure._reference]
+
+
+class TestPerNCache:
+    """The objects of n alone are built once per process (games._per_n)."""
+
+    @pytest.mark.parametrize("build", _PER_N, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_cached_equals_fresh_build(self, build, n):
+        cached, fresh = build(n), build.__wrapped__(n)
+        assert cached is not fresh
+        got, want = _arrays(cached), _arrays(fresh)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]  # signed zeros too
+        assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+        if build is chsh_game:
+            assert cached[1] == fresh[1] and cached[0].labels == fresh[0].labels
+
+    @pytest.mark.parametrize("build", _PER_N, ids=lambda f: f.__name__)
+    def test_shared_and_read_only(self, build):
+        first = build(4)
+        assert build(4) is first and build(np.int64(4)) is first
+        for a in _arrays(first):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[(0,) * a.ndim] = 0
+
+    @pytest.mark.parametrize("build", _PER_N, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [2.0, np.int64(1), True, "3", [3]], ids=repr)
+    def test_checks_n_before_the_lookup(self, build, n):
+        # TestOneNCheck with warm caches: 2.0 would hit the entry for 2, as hash(2.0) == hash(2)
+        build(2), build(3)
+        with pytest.raises(InvalidN) as info:
+            build(n)
+        assert str(info.value) == f"CHSH(n) needs integer n >= 2, got {n!r}"
+
+    @pytest.mark.parametrize("build", _PER_N, ids=lambda f: f.__name__)
+    def test_holds_the_certify_cycle(self, build):
+        # certify walks n = 2..8 in every pass; a bound below 7 would miss every time
+        build.cache_clear()
+        for _ in range(3):
+            for n in range(2, 9):
+                build(n)
+        info = build.cache_info()
+        assert (info.misses, info.hits) == (7, 14) and info.maxsize >= 7
 
 
 class TestClassicalBias:

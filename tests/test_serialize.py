@@ -447,6 +447,15 @@ class TestReaderMatchesPerEntryParse:
                          np.zeros((0, 3), dtype=complex))
 
     @pytest.mark.parametrize(
+        "values", [[2**64], [2**64, 0.5], [-(2**70), 3, 1e300], [2**64 + 1, 2**63]], ids=repr
+    )
+    def test_reads_integers_beyond_64_bits_as_float_does(self, values):
+        # numpy gives such lists the object dtype; each value reads as float() reads it
+        assert same_bits(sz.y_from_dict({"y": values}), np.array([float(v) for v in values]))
+        d = {"rows": 1, "cols": len(values), "entries": [[v, 0] for v in values]}
+        assert same_bits(sz.matrix_from_dict(d), reference_matrix_from_dict(d))
+
+    @pytest.mark.parametrize(
         "entries,got",
         [
             ([[" 1.5 ", "1_000"]], "a string"),
@@ -455,12 +464,12 @@ class TestReaderMatchesPerEntryParse:
             ([[None, None]], "null"),
             ([[True, False]], "a boolean"),
             ([[{"re": 1}, 1.0]], "an object"),
-            ([[2**64, 0.0]], "an integer beyond 64 bits"),
+            ([[10**400, 0.0]], "an integer beyond the double range"),
         ],
-        ids=["strings", "numeric-string", "null", "nulls", "booleans", "object", "int-beyond-64-bits"],
+        ids=["strings", "numeric-string", "null", "nulls", "booleans", "object", "int-beyond-double-range"],
     )
     def test_refuses_what_is_not_a_json_number(self, entries, got):
-        # float() takes the strings, the booleans and 2**64
+        # float() takes the strings and the booleans
         with pytest.raises(sz.FileFormatError, match=f"^matrix entry list must hold numbers, got {got}$"):
             sz.matrix_from_dict({"rows": 1, "cols": 1, "entries": entries})
 
