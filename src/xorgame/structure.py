@@ -25,7 +25,6 @@ from .linalg import DimensionMismatch, frobenius, hermitian_eig, schmidt, sign_n
 from .relations import certify_epsilon, chshn_relations_form2
 from .strategies import (
     Strategy,
-    _canonical_alice,
     _matched_combinations,
     canonical_chshn,
     perturb,
@@ -50,12 +49,15 @@ def require_chshn_shape(s: Strategy, n: int) -> Strategy:
 def _chain_products(mats: np.ndarray) -> np.ndarray:
     """All 2ⁿ chain products O^j = O_1^{j_1} ··· O_n^{j_n} of an (n, d, d)
     stack as a (2ⁿ, d, d) stack, bit strings j in lexicographic order (bit 1
-    most significant), built by n batched doublings."""
-    d = mats.shape[-1]
-    acc = np.eye(d, dtype=complex)[None]
-    for o in mats:
-        acc = np.stack((acc, acc @ o), axis=1).reshape(-1, d, d)
-    return acc
+    most significant), filled in place by one batched product per bit t:
+    the prefix products, at the strings with no bit from t on set, times O_t."""
+    n, d = mats.shape[0], mats.shape[-1]
+    out = np.empty((2**n, d, d), dtype=complex)
+    out[0] = np.eye(d)
+    for t, o in enumerate(mats):
+        split = out.reshape(2**t, 2, 2 ** (n - t - 1), d, d)
+        np.matmul(split[:, 0, 0], o, out=split[:, 1, 0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,8 @@ class _Reference:
         factors, Õ_t·Ã^j = σ_t(j)·Ã^(j⊕e_t) and Ã^j·Õ_t = τ_t(j)·Ã^(j⊕e_t),
         are τ_t(j) = (−1)^(set bits after t) = signs[j mod 2^(n−t)], which
         taus holds for the Bob residuals, and σ_t(j) = (−1)^(set bits
-        before t) = signs[j >> (n−t+1)], which the Alice residuals build up
-        by negating halves instead.
+        before t) = signs[j >> (n−t+1)], which the Alice residuals read as
+        signs[:2^(t−1)] over the leading t − 1 bits.
     taus: taus[t−1] is τ_t/√2 broadcast over the n bit axes of j and one
         trailing axis, the factor of the flipped term F_t.
     targets: row k holds the coefficients of F_1 … F_n in the target
@@ -87,9 +89,8 @@ class _Reference:
 @_per_n
 def _reference(n: int) -> _Reference:
     """The reference data for CHSH(n), shared per n (_per_n); its arrays are
-    read-only.  ybar comes from the raw canonical Alice matrices, not from
-    canonical_chshn's symmetrized stack, whose signed zeros may differ."""
-    mats = _canonical_alice(n)
+    read-only.  ybar is built from Alice's stack of canonical_chshn(n)."""
+    mats = canonical_chshn(n).alice
     ybar = (_chain_products(mats).reshape(2**n, -1) / np.sqrt(mats.shape[-1])).conj()
     signs = np.ones(1)
     for _ in range(n - 1):
@@ -203,7 +204,7 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     prods, chains = _state_chains(s)
     bob_res = _bob_residuals(prods, chains, s, n, ref)
     del prods
-    alice_res = _alice_residuals(chains, s, n)
+    alice_res = _alice_residuals(chains, s, n, ref)
     t = _intertwiner(chains, ref)
     a_bound = 12.0 * n * n * np.sqrt(eps)
     b_bound = 17.0 * n * n * np.sqrt(eps)
@@ -222,28 +223,26 @@ def intertwiner_report(g: XorGame, s: Strategy, n: int) -> IntertwinerReport:
     )
 
 
-def _alice_residuals(chains: np.ndarray, s: Strategy, n: int) -> tuple[float, ...]:
+def _alice_residuals(chains: np.ndarray, s: Strategy, n: int, ref: _Reference) -> tuple[float, ...]:
     """Alice's residuals, in the layout (a, j, b) where each A_i is one GEMM.
 
     The difference is formed directly: ‖X‖² − 2Re⟨X,Y⟩ + ‖Y‖² would cancel
-    to rounding noise where the residual is near zero.  signed holds
-    σ_i(j)·C_j; since σ_i(j⊕e_i) = σ_i(j), its reversed view along bit i is
-    the subtrahend, and σ_{i+1}(j) = σ_i(j)·(−1)^(j_i) flips the half with
-    bit i set once observable i is done.
+    to rounding noise where the residual is near zero.  The GEMM output is
+    multiplied in place by σ_i(j) = ±1, then the chains reversed along bit i
+    are subtracted: fl(σa − b) = σ·fl(a − σb), with the same norm.
     """
     d_a, d_b = s.d_A, s.d_B
     scale = float(np.sqrt(2.0**n))
     ours = np.ascontiguousarray(chains.transpose(1, 0, 2))
-    signed = ours.copy()
     lhs = np.empty(chains.size, dtype=complex)
     res = []
     for i, o in enumerate(s.alice):
         split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
         np.matmul(o, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
         diff = lhs.reshape(split)
-        np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
+        np.multiply(diff, ref.signs[: 2**i, None, None, None], out=diff)
+        np.subtract(diff, ours.reshape(split)[:, :, ::-1], out=diff)
         res.append(frobenius(lhs) / scale)
-        signed.reshape(split)[:, :, 1] *= -1
     return tuple(res)
 
 

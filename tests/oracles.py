@@ -1,13 +1,15 @@
 """The paper's chain definitions, one product and one sign at a time, the
-Born-rule referee, one projector product at a time, Bob's intertwiner
-residuals, one GEMM and one direct difference per observable and by
-projection onto an orthonormal basis of the chain span, relation
-extraction, one eigenpair at a time, the observable constructors, one
-matrix at a time, and the Schmidt decomposition from the eigenpairs of the
-Hermitian dilation.
+chain products with a new stack per bit and Alice's intertwiner residuals
+against a signed copy of the chains, the Born-rule referee, one projector
+product at a time, Bob's intertwiner residuals, one GEMM and one direct
+difference per observable and by projection onto an orthonormal basis of
+the chain span, relation extraction, one eigenpair at a time, the
+observable constructors, one matrix at a time, and the Schmidt
+decomposition from the eigenpairs of the Hermitian dilation.
 
-The library computes all chain products at once (`structure._chain_products`),
-reads the insertion signs from one sign vector (`structure._reference`),
+The library computes all chain products at once, in one stack
+(`structure._chain_products`), reads the insertion signs from one sign
+vector (`structure._reference`, `structure._alice_residuals`),
 takes the outcome statistics of `strategies.simulate` from the correlations,
 Bob's residuals from one projection onto the span of the chain products
 through their Gram matrices (`structure._chain_grams`), the relation
@@ -77,6 +79,39 @@ def insertion_sign_right(j: BitString, k: int) -> int:
     if not 1 <= k <= j.n:
         raise IndexOutOfRange(f"k={k} outside 1..{j.n}")
     return -1 if sum(j.bits[k:]) % 2 else 1
+
+
+def stacked_chain_products(mats: np.ndarray) -> np.ndarray:
+    """structure._chain_products by n batched doublings, each np.stack-ing
+    the prefix products and the prefix products times O_t into a new
+    stack."""
+    d = mats.shape[-1]
+    acc = np.eye(d, dtype=complex)[None]
+    for o in mats:
+        acc = np.stack((acc, acc @ o), axis=1).reshape(-1, d, d)
+    return acc
+
+
+def signed_copy_alice_residuals(chains: np.ndarray, s, n: int) -> tuple[float, ...]:
+    """structure._alice_residuals with σ_i kept in a copy of the chains:
+    signed holds σ_i(j)·C_j; since σ_i(j⊕e_i) = σ_i(j), its reversed view
+    along bit i is the subtrahend of A_i·C_j, and σ_{i+1}(j) =
+    σ_i(j)·(−1)^(j_i) flips the half with bit i set once observable i is
+    done."""
+    d_a, d_b = s.d_A, s.d_B
+    scale = float(np.sqrt(2.0**n))
+    ours = np.ascontiguousarray(chains.transpose(1, 0, 2))
+    signed = ours.copy()
+    lhs = np.empty(chains.size, dtype=complex)
+    res = []
+    for i, o in enumerate(s.alice):
+        split = (d_a, 2**i, 2, 2 ** (n - i - 1), d_b)
+        np.matmul(o, ours.reshape(d_a, -1), out=lhs.reshape(d_a, -1))
+        diff = lhs.reshape(split)
+        np.subtract(diff, signed.reshape(split)[:, :, ::-1], out=diff)
+        res.append(frobenius(lhs) / scale)
+        signed.reshape(split)[:, :, 1] *= -1
+    return tuple(res)
 
 
 def _pm_projectors(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

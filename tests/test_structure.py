@@ -14,6 +14,7 @@ from xorgame.linalg import DimensionMismatch, frobenius
 from xorgame.relations import certify_epsilon, chshn_relations_form2
 from xorgame.strategies import (
     Strategy,
+    _canonical_alice,
     bias,
     canonical_chshn,
     embed_with_junk,
@@ -43,6 +44,8 @@ from oracles import (
     insertion_sign_left,
     insertion_sign_right,
     orthonormal_projection_bob_residuals,
+    signed_copy_alice_residuals,
+    stacked_chain_products,
 )
 
 RT2 = np.sqrt(2.0)
@@ -488,6 +491,62 @@ class TestChainBasisResiduals:
                 a[0] = 0
 
 
+def _peak_bytes(f, *args):
+    f(*args)  # warm the caches
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChainKernels:
+    """The chain products, filled into one stack, and Alice's residuals, with
+    σ_i applied to the GEMM output in place, against the kernels they
+    replace: a new stack per bit and a signed copy of the chains."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_match_the_copying_kernels_to_the_byte(self, n):
+        base = canonical_chshn(n)
+        strategies = [
+            perturb(base, theta, seed=n, include_bob=include_bob)
+            for theta in (0.0, 1e-6, 0.01, 0.3, 1.0)
+            for include_bob in (False, True)
+        ]
+        ref = structure._reference(n)
+        for s in strategies + near_optimal_variants(n):
+            prods, chains = structure._state_chains(s)
+            assert prods.tobytes() == stacked_chain_products(s.alice).tobytes()
+            got = structure._alice_residuals(chains, s, n, ref)
+            assert np.array(got).tobytes() == np.array(signed_copy_alice_residuals(chains, s, n)).tobytes()
+
+    def test_products_of_a_non_unitary_stack(self):
+        rng = np.random.default_rng(3)
+        a = (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))) / 3
+        assert structure._chain_products(a).tobytes() == stacked_chain_products(a).tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_canonical_products_same_from_raw_and_symmetrized_alice(self, n):
+        # the reference is built from canonical_chshn(n).alice; the two
+        # stacks differ in signed zeros at odd n, their products do not
+        raw = structure._chain_products(_canonical_alice(n))
+        assert raw.tobytes() == structure._chain_products(canonical_chshn(n).alice).tobytes()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_products_hold_one_stack(self, n):
+        alice = perturb(canonical_chshn(n), 0.01, seed=n).alice
+        stack = 2**n * alice.shape[-1] ** 2 * 16
+        assert _peak_bytes(structure._chain_products, alice) <= 1.25 * stack
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_alice_residuals_hold_two_chain_stacks(self, n):
+        s = perturb(canonical_chshn(n), 0.01, seed=n, include_bob=True)
+        chains = structure._state_chains(s)[1]
+        peak = _peak_bytes(structure._alice_residuals, chains, s, n, structure._reference(n))
+        assert peak <= 2.5 * chains.nbytes
+
+
 def _assert_matches_bob_references(s, n):
     got = intertwiner_report(chsh_game(n)[0], s, n).bob_residuals
     assert np.abs(np.subtract(got, direct_bob_residuals(s, n))).max() <= 1e-14
@@ -776,22 +835,22 @@ class TestIntertwinerSweep:
             assert rep.epsilon == want.epsilon
 
     def test_builds_game_and_base_once_per_n(self, monkeypatch):
-        games, bases, canonicals = [], [], []
-        real_game, real_perturb = structure.chsh_game, structure.perturb
-        real_canonical = structure.canonical_chshn
-        monkeypatch.setattr(structure, "chsh_game", lambda n: games.append(n) or real_game(n))
-        monkeypatch.setattr(
-            structure, "canonical_chshn", lambda n: canonicals.append(n) or real_canonical(n)
-        )
+        # builds are cache misses from cold caches, so the count holds
+        # whatever ran before in this process
+        per_n = (chsh_game, canonical_chshn, structure._reference)
+        for build in per_n:
+            build.cache_clear()
+        bases = []
+        real_perturb = structure.perturb
         monkeypatch.setattr(
             structure, "perturb", lambda s, *a: bases.append((len(s.alice), id(s))) or real_perturb(s, *a)
         )
         cells = list(intertwiner_sweep([2, 3], [0.0, 0.01, 0.05], [0, 1]))
         assert len(cells) == len(bases) == 12
-        assert games == [2, 3]
         assert len(set(bases)) == 2
-        # the base is also the intertwiner's reference: no rebuild per cell
-        assert canonicals == [2, 3]
+        # the game, the base and the intertwiner's reference (built from the
+        # base) once per n: no rebuild per cell
+        assert [build.cache_info().misses for build in per_n] == [2, 2, 2]
 
     @pytest.mark.parametrize(
         "grid", [([], [0.0], [0]), ([2], [], [0]), ([2], [0.0], [])], ids=["n", "theta", "seed"]
